@@ -141,7 +141,7 @@ def cmd_check(args) -> int:
 
 def cmd_sigma(args) -> int:
     h = _load_graph(args.graph, args.cap_n)
-    result = sigma_exact(h, args.n, cap_n=args.cap_n, threads=args.threads)
+    result = sigma_exact(h, args.n, cap_n=args.cap_n)
     human = [str(result.value)]
     human += [f"maximizer: {s.to_text()}" for s in result.extremal_sequences]
     _emit(result.to_json_dict(), args.json, human)
@@ -216,7 +216,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sigma", help="exact potential number by enumeration")
     p.add_argument("graph")
     p.add_argument("n", type=int)
-    p.add_argument("--threads", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_sigma)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 from . import graphs
-from .graphs import SmallGraph
+from .graphs import CapExceededError, SmallGraph
 
 MAX_INT_ARG = 10**6
 
@@ -170,11 +170,11 @@ def build(expr: GraphExpr, cap: int = graphs.MAX_VERTICES) -> SmallGraph:
     """Evaluate the AST to a concrete graph with canonical vertex numbering.
 
     Joins and unions number the left operand's vertices first. Raises
-    ValueError when the total order exceeds ``cap``.
+    CapExceededError when the total order exceeds ``cap``.
     """
     order = expr_order(expr)
     if order > cap:
-        raise ValueError(f"expression order {order} exceeds cap {cap}")
+        raise CapExceededError(f"expression order {order} exceeds cap {cap}")
     return _build(expr)
 
 

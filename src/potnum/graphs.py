@@ -16,6 +16,10 @@ from .sequences import DegreeSequence
 MAX_VERTICES = 16
 
 
+class CapExceededError(ValueError):
+    """Requested size exceeds the configured desk-scale cap."""
+
+
 class SmallGraph:
     """Labeled simple graph; vertices are 0..k-1, adjacency stored as masks."""
 
@@ -25,7 +29,7 @@ class SmallGraph:
         if k < 0:
             raise ValueError("vertex count must be nonnegative")
         if k > MAX_VERTICES:
-            raise ValueError(f"vertex count {k} exceeds cap {MAX_VERTICES}")
+            raise CapExceededError(f"vertex count {k} exceeds cap {MAX_VERTICES}")
         adj = [0] * k
         for u, v in edges:
             if u == v:

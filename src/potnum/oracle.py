@@ -1,7 +1,11 @@
 """Ground-truth brute force at desk scale.
 
 Exact potentially-H-graphic decisions, canonical realizations, and exact
-potential numbers by exhaustive enumeration. The decision procedure:
+potential numbers. A potential number scans the graphic sequences of each
+sum level from a depth-first generator that prunes prefixes by an
+Erdős–Gallai bound and skips every subtree whose first k or 2k terms
+already satisfy the Yin–Li clique condition, so that only sequences that
+could refute are decided. The decision procedure:
 
 * dominating heads (d1 = n-1) are stripped recursively, trading H for its
   one-vertex-deleted family, which keeps near-extremal sequences cheap;
@@ -21,15 +25,11 @@ from functools import lru_cache
 from itertools import accumulate, combinations, permutations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .graphs import MAX_VERTICES, SmallGraph, canonical_key, find_embedding
+from .graphs import MAX_VERTICES, CapExceededError, SmallGraph, canonical_key, find_embedding
 from .sequences import DegreeSequence, is_graphic
 
 DEFAULT_CAP_N = 10
 DEFAULT_CAP_K = 8
-
-
-class CapExceededError(ValueError):
-    """Requested size exceeds the configured desk-scale cap."""
 
 
 @dataclass(frozen=True)
@@ -518,15 +518,23 @@ def potentially_split(
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive sequence enumeration and exact potential numbers
+# Graphic sequence enumeration and exact potential numbers
 
 
-def enumerate_graphic_sequences(n: int, total: Optional[int] = None) -> Iterator[DegreeSequence]:
+def enumerate_graphic_sequences(
+    n: int, total: Optional[int] = None, *, k: Optional[int] = None
+) -> Iterator[DegreeSequence]:
     """All nonincreasing graphic sequences of length n (terms <= n-1).
 
     With ``total`` fixed, only sequences of that sum are produced, in
     lexicographically decreasing order. Without it, sums descend from
     n(n-1) to 0.
+
+    With a clique order ``k``, the sequences that ``yin_li_kk(s, k)``
+    accepts are left out, in the same order otherwise: every graph of
+    order k is potentially contained in them, so none can refute. Their
+    subtrees are skipped as soon as the first k or 2k terms settle the
+    Yin–Li condition.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
@@ -535,22 +543,42 @@ def enumerate_graphic_sequences(n: int, total: Optional[int] = None) -> Iterator
     else:
         totals = list(range(n * (n - 1), -1, -2))
     for s in totals:
-        for parts in _partitions_desc(s, n, max(n - 1, 0)):
-            if _graphic_desc(parts):
-                yield DegreeSequence(parts)
+        for terms in _graphic_of_sum(n, s, k or 0):
+            yield DegreeSequence(terms)
 
 
-def _partitions_desc(remaining: int, slots: int, bound: int) -> Iterator[Tuple[int, ...]]:
-    if slots == 0:
-        if remaining == 0:
-            yield ()
-        return
-    if remaining > slots * bound:
-        return
-    lo = -(-remaining // slots)
-    for first in range(min(bound, remaining), lo - 1, -1):
-        for rest in _partitions_desc(remaining - first, slots - 1, first):
-            yield (first,) + rest
+def _graphic_of_sum(n: int, total: int, k: int) -> Iterator[Tuple[int, ...]]:
+    """Depth-first over nonincreasing prefixes d1..dq, largest term first.
+
+    A prefix is dropped when its sum exceeds q(q-1) + min(r, (n-q) min(q, dq)),
+    r being the sum still to place: no completion then meets the
+    Erdős–Gallai inequality at q. The Yin–Li condition reads only the
+    first 2k terms, so with k >= 1 a prefix of length k or 2k that passes
+    it passes for every completion and is dropped too. Each leaf gets the
+    exact Erdős–Gallai test.
+    """
+    terms = [0] * n
+
+    def extend(q: int, placed: int, bound: int) -> Iterator[Tuple[int, ...]]:
+        r = total - placed
+        slots = n - q
+        if slots == 0:
+            leaf = tuple(terms)
+            if _graphic_desc(leaf):
+                yield leaf
+            return
+        q1 = q + 1
+        base = q1 * (q1 - 1)
+        for d in range(min(bound, r), -(-r // slots) - 1, -1):
+            s = placed + d
+            if s > base + min(total - s, (slots - 1) * min(q1, d)):
+                continue
+            terms[q] = d
+            if (q1 == k or q1 == 2 * k) and _yin_li_terms(tuple(terms[:q1]), k):
+                continue
+            yield from extend(q1, s, d)
+
+    return extend(0, 0, max(n - 1, 0))
 
 
 _SIGMA_CACHE: Dict[Tuple[SmallGraph, int], SigmaExact] = {}
@@ -561,14 +589,14 @@ def sigma_exact(
     n: int,
     cap_n: int = DEFAULT_CAP_N,
     cap_k: int = DEFAULT_CAP_K,
-    threads: int = 1,
 ) -> SigmaExact:
     """Exact potential number: the minimum even integer such that every
     graphic sequence of length n with at least that sum is potentially
     h-graphic; also returns every maximizing non-potential sequence.
 
-    Scans sums downward, deciding every sequence at each level, and stops
-    at the first level carrying a refutation.
+    Scans sums downward and stops at the first level carrying a
+    refutation. At each level it decides every graphic sequence except
+    those the Yin–Li clique condition for order k already settles true.
     """
     if n > cap_n:
         raise CapExceededError(f"length {n} exceeds cap {cap_n}")
@@ -581,11 +609,9 @@ def sigma_exact(
         return cached
     result = None
     for total in range(n * (n - 1), -1, -2):
-        batch = list(enumerate_graphic_sequences(n, total))
-        if not batch:
-            continue
-        decisions = _decide_batch(batch, h, threads)
-        falses = tuple(s for s, ok in zip(batch, decisions) if not ok)
+        falses = tuple(
+            s for s in enumerate_graphic_sequences(n, total, k=h.k) if not _decide(s.terms, h)
+        )
         if falses:
             result = SigmaExact(n=n, value=total + 2, extremal_sequences=falses)
             break
@@ -593,27 +619,3 @@ def sigma_exact(
         result = SigmaExact(n=n, value=0, extremal_sequences=())
     _SIGMA_CACHE[(h, n)] = result
     return result
-
-
-def _decide_batch(batch: List[DegreeSequence], h: SmallGraph, threads: int) -> List[bool]:
-    if threads <= 1 or len(batch) < 4 * threads:
-        return [_decide(s.terms, h) for s in batch]
-    from concurrent.futures import ProcessPoolExecutor
-
-    payload = (h.k, tuple(h.edges()))
-    chunks: List[List[Tuple[int, ...]]] = [[] for _ in range(threads)]
-    for idx, s in enumerate(batch):
-        chunks[idx % threads].append(s.terms)
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(_decide_chunk, [(payload, chunk) for chunk in chunks]))
-    merged: List[bool] = [False] * len(batch)
-    for lane, lane_results in enumerate(results):
-        for offset, value in enumerate(lane_results):
-            merged[lane + offset * threads] = value
-    return merged
-
-
-def _decide_chunk(args) -> List[bool]:
-    (k, edges), chunk = args
-    h = SmallGraph(k, edges)
-    return [_decide(terms, h) for terms in chunk]

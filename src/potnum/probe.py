@@ -250,7 +250,8 @@ def run_probe(
     Caller-facing guarantees: found_h, found_split, and declared_potential
     verdicts below the cap are always oracle-verified (a refuted claim
     degrades to inconclusive with the failed guard named), and
-    close_to_target names the extremal target it is near.
+    close_to_target names the member of the target family it is near (a
+    nearby target of an order outside the family is inconclusive).
     """
     if not is_graphic(seq):
         raise ValueError(f"sequence {seq.to_text()} is not graphic")
@@ -462,6 +463,17 @@ def run_probe(
     except ValueError as exc:
         return finish(
             ProbeVerdict(kind=INCONCLUSIVE, reason=f"target sequence unavailable: {exc}")
+        )
+    if prof.sigma_tilde_i.get(idx) != prof.sigma_tilde:
+        return finish(
+            ProbeVerdict(
+                kind=INCONCLUSIVE,
+                reason=(
+                    f"target of order {idx} lies outside the target family: its "
+                    f"coefficient {prof.sigma_tilde_i.get(idx)} is not sigma_tilde = "
+                    f"{prof.sigma_tilde}"
+                ),
+            )
         )
     return finish(
         ProbeVerdict(

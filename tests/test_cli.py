@@ -116,8 +116,10 @@ def test_exit_code_parse_error(capsys):
 
 
 def test_exit_code_cap_exceeded(capsys):
-    code, _, err = run_cli(capsys, "sigma", "K 3", "12")
-    assert code == 2 and err
+    # an oracle length above the cap, then graph orders above it
+    for argv in (("sigma", "K 3", "12"), ("analyze", "K 16"), ("check", "2,2,2", "K 12")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "cap exceeded" in err, argv
 
 
 def test_all_json_outputs_are_valid_json(capsys):

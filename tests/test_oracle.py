@@ -7,12 +7,14 @@ regular obstructions beat the clique formula at these lengths.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from conftest import corpus
 from potnum.graphs import (
     SmallGraph,
+    complete_bipartite,
     complete_graph,
     complete_split,
     cycle_graph,
@@ -248,9 +250,32 @@ def test_potentially_split_agrees_with_general_oracle():
 
 
 def test_enumerate_counts_match_realizable_sequences():
-    # distinct degree sequences of graphs on n labeled vertices
-    for n, expected in ((1, 1), (2, 2), (3, 4), (4, 11), (5, 31), (6, 102), (7, 342)):
+    # distinct degree sequences of graphs on n labeled vertices (OEIS A004251)
+    for n, expected in (
+        (1, 1), (2, 2), (3, 4), (4, 11), (5, 31), (6, 102), (7, 342),
+        (8, 1213), (9, 4361), (10, 16016),
+    ):
         assert sum(1 for _ in enumerate_graphic_sequences(n)) == expected
+
+
+def _graphic_by_reference(n, total):
+    """Every nonincreasing graphic sequence of length n and sum total,
+    lexicographically decreasing, from all nonincreasing tuples."""
+    return [
+        DegreeSequence(t)
+        for t in combinations_with_replacement(range(n - 1, -1, -1), n)
+        if sum(t) == total and is_graphic(DegreeSequence(t))
+    ]
+
+
+def test_enumerate_matches_reference_with_and_without_clique_skip():
+    for n in range(9):
+        for total in range(0, n * (n - 1) + 1, 2):
+            want = _graphic_by_reference(n, total)
+            assert list(enumerate_graphic_sequences(n, total)) == want, (n, total)
+            for k in range(2, 6):
+                kept = [s for s in want if not yin_li_kk(s, k)]
+                assert list(enumerate_graphic_sequences(n, total, k=k)) == kept, (n, total, k)
 
 
 def test_enumerate_fixed_sum_order_is_lex_decreasing():
@@ -318,21 +343,35 @@ def test_sigma_k4_small_lengths_true_values():
     assert sigma_exact(k4, 10).value == 4 * 10 - 4
 
 
+def test_sigma_matches_scan_of_every_sequence_n8():
+    # the reference decides every graphic sequence, Yin–Li shortcut off
+    n = 8
+    for name, h in corpus().items():
+        want = None
+        for total in range(n * (n - 1), -1, -2):
+            falses = tuple(
+                s for s in _graphic_by_reference(n, total)
+                if not _decide(s.terms, h, use_yin_li=False)
+            )
+            if falses:
+                want = (total + 2, falses)
+                break
+        got = sigma_exact(h, n)
+        assert (got.value, got.extremal_sequences) == want, name
+
+
+def test_sigma_n11_values():
+    k3 = sigma_exact(complete_graph(3), 11, cap_n=11)
+    assert (k3.value, len(k3.extremal_sequences)) == (22, 5)
+    k23 = sigma_exact(complete_bipartite(2, 3), 11, cap_n=11)
+    assert (k23.value, len(k23.extremal_sequences)) == (34, 3)
+
+
 def test_sigma_requires_enough_vertices_and_caps():
     with pytest.raises(ValueError):
         sigma_exact(complete_graph(4), 3)
     with pytest.raises(CapExceededError):
         sigma_exact(complete_graph(3), 11)
-
-
-def test_sigma_threads_agree():
-    k3 = complete_graph(3)
-    solo = sigma_exact(k3, 7)
-    from potnum import oracle
-
-    oracle._SIGMA_CACHE.clear()
-    multi = sigma_exact(k3, 7, threads=2)
-    assert (solo.value, solo.extremal_sequences) == (multi.value, multi.extremal_sequences)
 
 
 # --- exhaustive cross-validation against all labeled graphs ----------------------

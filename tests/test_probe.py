@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from potnum.graphs import SmallGraph, complete_graph, complete_split, cycle_graph
+from potnum.graphs import SmallGraph, complete_graph, complete_split, cycle_graph, friendship_graph
 from potnum.oracle import Realization, canonical_realization, potentially
 from potnum.potential import target_family
 from potnum.probe import (
@@ -161,6 +161,16 @@ def test_close_to_target_lands_in_family():
     verdict, _ = run_probe(seq("9,3^9"), complete_split(2, 3), ProbeConfig(f_override=3))
     fam = {t.seq for t in target_family(complete_split(2, 3), 10)}
     assert verdict.target.seq in fam
+
+
+def test_near_target_outside_family_is_inconclusive():
+    # the nearby target has order 5, whose coefficient 3 falls short of
+    # sigma_tilde = 4, so naming it as close_to_target would leave the family
+    for text, h in (("6,3^8", cycle_graph(6)), ("3^8", friendship_graph(2))):
+        verdict, trace = run_probe(seq(text), h, ProbeConfig(f_override=3))
+        assert trace.final["branch"] == "near_target"
+        assert verdict.kind == "inconclusive" and verdict.target is None
+        assert "order 5" in verdict.reason and "sigma_tilde = 4" in verdict.reason
 
 
 def test_shrinkage_bound_gate():
