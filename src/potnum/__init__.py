@@ -57,7 +57,6 @@ from .oracle import (
     canonical_realization,
     enumerate_graphic_sequences,
     potentially,
-    potentially_split,
     sigma_exact,
     two_switch,
     yin_li_kk,

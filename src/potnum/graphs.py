@@ -295,59 +295,65 @@ def find_one_edge_set(h: SmallGraph, size: int) -> Optional[Tuple[int, ...]]:
 # Embedding and isomorphism
 
 
-def find_embedding(pattern: SmallGraph, host: SmallGraph) -> Optional[Dict[int, int]]:
-    """Injective vertex map carrying every pattern edge to a host edge.
-
-    Backtracking with degree-sorted pruning; pattern vertices are placed
-    most-constrained first. Returns None when no embedding exists.
-    """
-    if pattern.k > host.k:
-        return None
+@lru_cache(maxsize=256)
+def _embedding_plan(pattern: SmallGraph) -> Tuple[Tuple[int, int, Tuple[int, ...]], ...]:
+    """Placement order for ``find_embedding``: (vertex, degree, neighbours
+    placed before it) per step. Repeatedly takes the unplaced vertex with
+    most placed neighbours, breaking ties toward high degree, then lower
+    index."""
     pdeg = pattern.degrees()
-    hdeg = host.degrees()
-    order: List[int] = []
+    plan = []
     placed_mask = 0
-    # order: repeatedly take the unplaced vertex with most placed neighbors,
-    # breaking ties toward high degree
-    while len(order) < pattern.k:
+    for _ in range(pattern.k):
         u = max(
             (v for v in range(pattern.k) if not (placed_mask >> v) & 1),
             key=lambda v: ((pattern.adj[v] & placed_mask).bit_count(), pdeg[v]),
         )
-        order.append(u)
+        plan.append((u, pdeg[u], tuple(_bits(pattern.adj[u] & placed_mask))))
         placed_mask |= 1 << u
+    return tuple(plan)
 
-    assignment: Dict[int, int] = {}
-    used = 0
 
-    def place(depth: int) -> bool:
-        nonlocal used
-        if depth == len(order):
+def find_embedding(pattern: SmallGraph, host: SmallGraph) -> Optional[Dict[int, int]]:
+    """Injective vertex map carrying every pattern edge to a host edge.
+
+    Backtracking over a cached per-pattern plan that places the most
+    constrained vertices first. Each step's candidates are one mask, the
+    unused host vertices adjacent to the images of the placed neighbours,
+    taken lowest index first and skipped when their degree is below the
+    pattern vertex's. Returns None when no embedding exists; otherwise the
+    map, keys in placement order.
+    """
+    if pattern.k > host.k:
+        return None
+    plan = _embedding_plan(pattern)
+    hadj = host.adj
+    hdeg = [m.bit_count() for m in hadj]
+    free = (1 << host.k) - 1
+    image = [0] * pattern.k
+    last = len(plan)
+
+    def place(depth: int, used: int) -> bool:
+        if depth == last:
             return True
-        u = order[depth]
-        need = pattern.adj[u]
-        for w in range(host.k):
-            if (used >> w) & 1 or hdeg[w] < pdeg[u]:
+        u, du, placed_nbs = plan[depth]
+        cand = free & ~used
+        for nb in placed_nbs:
+            cand &= hadj[image[nb]]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            w = low.bit_length() - 1
+            if hdeg[w] < du:
                 continue
-            ok = True
-            m = need
-            while m:
-                low = m & -m
-                nb = low.bit_length() - 1
-                m ^= low
-                if nb in assignment and not host.has_edge(assignment[nb], w):
-                    ok = False
-                    break
-            if ok:
-                assignment[u] = w
-                used |= 1 << w
-                if place(depth + 1):
-                    return True
-                used &= ~(1 << w)
-                del assignment[u]
+            image[u] = w
+            if place(depth + 1, used | low):
+                return True
         return False
 
-    return dict(assignment) if place(0) else None
+    if not place(0, 0):
+        return None
+    return {u: image[u] for u, _, _ in plan}
 
 
 def spanning_subgraph_of(h: SmallGraph, host: SmallGraph) -> bool:

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations, permutations
+from itertools import permutations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .graphs import MAX_VERTICES, CapExceededError, SmallGraph, canonical_key, find_embedding
-from .sequences import DegreeSequence, is_graphic
+from .sequences import DegreeSequence, _graphic_desc, is_graphic
 
 DEFAULT_CAP_N = 10
 DEFAULT_CAP_K = 8
@@ -87,8 +87,11 @@ def canonical_realization(seq: DegreeSequence) -> Realization:
     """Havel–Hakimi construction: each pivot of maximum remaining demand
     connects to the next-highest demands; ties break toward lower index.
 
-    Vertex 0 ends up adjacent to vertices 1..d1, so the maximum-degree
-    vertex is adjacent to the d1 highest-degree others.
+    Each step is one stable sort of the vertices by remaining demand,
+    highest first, which orders them by (-demand, index): the pivot is
+    the first vertex and its targets the next d of them. Vertex 0 ends up
+    adjacent to vertices 1..d1, so the maximum-degree vertex is adjacent
+    to the d1 highest-degree others.
     """
     if not is_graphic(seq):
         raise ValueError(f"sequence {seq.to_text()} is not graphic")
@@ -97,17 +100,15 @@ def canonical_realization(seq: DegreeSequence) -> Realization:
         raise CapExceededError(f"realization on {n} vertices exceeds cap {MAX_VERTICES}")
     rem = list(seq.terms)
     edges: List[Tuple[int, int]] = []
-    while True:
-        u = min(range(n), key=lambda v: (-rem[v], v), default=None)
-        if u is None or rem[u] == 0:
+    for _ in range(n):  # each step zeroes the pivot's demand
+        order = sorted(range(n), key=rem.__getitem__, reverse=True)
+        u = order[0]
+        du = rem[u]
+        if du == 0:
             break
-        targets = sorted(
-            (v for v in range(n) if v != u and rem[v] > 0),
-            key=lambda v: (-rem[v], v),
-        )[: rem[u]]
-        if len(targets) < rem[u]:
+        if du >= n or rem[order[du]] == 0:
             raise AssertionError("Havel–Hakimi ran out of targets on graphic input")
-        for v in targets:
+        for v in order[1:du + 1]:
             edges.append((u, v))
             rem[v] -= 1
         rem[u] = 0
@@ -133,29 +134,6 @@ def two_switch(real: Realization, edge1: Tuple[int, int], edge2: Tuple[int, int]
         raise ValueError("replacement pairs must currently be nonedges")
     new_graph = g.with_edges(added=[(a, c), (b, d)], removed=[(a, b), (c, d)])
     return Realization(graph=new_graph, sequence=real.sequence)
-
-
-# ---------------------------------------------------------------------------
-# Fast graphicality on raw descending tuples (hot path)
-
-
-@lru_cache(maxsize=1 << 18)
-def _graphic_desc(terms: Tuple[int, ...]) -> bool:
-    n = len(terms)
-    if n == 0:
-        return True
-    if sum(terms) % 2 or terms[0] > n - 1:
-        return False
-    prefix = [0] + list(accumulate(terms))
-    m = n  # running count of terms >= p; terms is nonincreasing
-    for p in range(1, n + 1):
-        while m > 0 and terms[m - 1] < p:
-            m -= 1
-        capped = max(m - p, 0)
-        start = max(m, p)
-        if prefix[p] > p * (p - 1) + p * capped + (prefix[n] - prefix[start]):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +336,9 @@ def _full_search(terms: Tuple[int, ...], h: SmallGraph) -> Optional[Tuple[Dict[i
 # The decision procedure
 
 
+# Decisions by (terms, canonical key of h, use_yin_li); past the cap the
+# oldest entry is evicted, so a long-lived process stays bounded.
+_DECIDE_CACHE_MAX = 1 << 18
 _DECIDE_CACHE: Dict[Tuple, bool] = {}
 
 
@@ -388,6 +369,8 @@ def _decide(terms: Tuple[int, ...], h: SmallGraph, use_yin_li: bool = True) -> b
                 ans = True
             else:
                 ans = _full_search(terms, h) is not None
+    if len(_DECIDE_CACHE) >= _DECIDE_CACHE_MAX:
+        del _DECIDE_CACHE[next(iter(_DECIDE_CACHE))]
     _DECIDE_CACHE[key] = ans
     return ans
 
@@ -469,52 +452,6 @@ def yin_li_kk(seq: DegreeSequence, k: int) -> bool:
     i <= k-2, or d_2k >= k-2. False only means undecided.
     """
     return _yin_li_terms(seq.terms, k)
-
-
-def potentially_split(
-    seq: DegreeSequence,
-    r: int,
-    t: int,
-    cap_n: int = DEFAULT_CAP_N,
-) -> bool:
-    """Exact decision for the complete split graph, clique order r joined
-    to an independent set of order t.
-
-    Only the placement with the clique on positions 1..r and the
-    independent set on positions r+1..r+t is searched; that placement is
-    always achievable when any is.
-    """
-    if not is_graphic(seq):
-        raise ValueError(f"sequence {seq.to_text()} is not graphic")
-    if seq.n > cap_n:
-        raise CapExceededError(f"length {seq.n} exceeds cap {cap_n}")
-    if r < 0 or t < 0:
-        raise ValueError("split parameters must be nonnegative")
-    n = seq.n
-    if r + t > n:
-        return False
-    terms = seq.terms
-    # degree sufficiency for the fixed placement
-    if any(terms[i] < r - 1 + t for i in range(r)):
-        return False
-    if any(terms[i] < r for i in range(r, r + t)):
-        return False
-    demands = list(terms)
-    forb = [0] * n
-    placed = []
-    for a, b in combinations(range(r), 2):
-        placed.append((a, b))
-    for a in range(r):
-        for b in range(r, r + t):
-            placed.append((a, b))
-    for a, b in placed:
-        demands[a] -= 1
-        demands[b] -= 1
-        forb[a] |= 1 << b
-        forb[b] |= 1 << a
-    if any(d < 0 for d in demands):
-        return False
-    return _solve_residual(demands, forb) is not None
 
 
 # ---------------------------------------------------------------------------

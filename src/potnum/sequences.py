@@ -6,6 +6,7 @@ All operations are pure functions on immutable values.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator, Tuple
 
@@ -119,36 +120,29 @@ def is_graphic(seq: DegreeSequence) -> bool:
     Trailing zeros are treated as isolated vertices. Total function: never
     raises on a valid DegreeSequence.
     """
-    d = seq.terms
-    n = len(d)
+    return _graphic_desc(seq.terms)
+
+
+@lru_cache(maxsize=1 << 18)
+def _graphic_desc(terms: Tuple[int, ...]) -> bool:
+    """The Erdős–Gallai test on a nonincreasing tuple, cached: the one
+    graphicality routine behind ``is_graphic``, the enumerator's leaf test
+    and the residual solver's pruning."""
+    n = len(terms)
     if n == 0:
         return True
-    total = sum(d)
-    if total % 2:
+    if sum(terms) % 2 or terms[0] > n - 1:
         return False
-    if d[0] > n - 1:
-        return False
-    prefix = [0] + list(accumulate(d))
-    # count_ge(p): number of terms >= p, via binary search on the
-    # nonincreasing sequence.
-    def count_ge(p: int) -> int:
-        lo, hi = 0, n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if d[mid] >= p:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
+    prefix = [0] + list(accumulate(terms))
+    m = n  # running count of terms >= p; terms is nonincreasing
     for p in range(1, n + 1):
-        m = count_ge(p)
+        while m > 0 and terms[m - 1] < p:
+            m -= 1
         # sum_{i=p+1..n} min(d_i, p): the first max(m-p, 0) of those are
         # capped at p, the rest contribute their own value.
         capped = max(m - p, 0)
         start = max(m, p)
-        rhs = p * (p - 1) + p * capped + (prefix[n] - prefix[start])
-        if prefix[p] > rhs:
+        if prefix[p] > p * (p - 1) + p * capped + (prefix[n] - prefix[start]):
             return False
     return True
 

@@ -1,0 +1,95 @@
+"""The decision fast path against the code it replaced.
+
+``canonical_realization`` sorts once per Havel–Hakimi step and
+``find_embedding`` searches on masks with a cached per-pattern plan. The
+reference functions below are the earlier implementations, kept
+verbatim in substance: a ``min``/``sorted`` Havel–Hakimi and a dict-based
+backtracking embedding. Both new functions must give exactly their
+output, ``None`` and dict key order included, on every graphic sequence
+of length at most 8.
+"""
+
+from conftest import corpus
+from potnum.graphs import SmallGraph, find_embedding
+from potnum.oracle import _d1_classes, canonical_realization, enumerate_graphic_sequences
+
+
+def _reference_realization(terms):
+    n = len(terms)
+    rem = list(terms)
+    edges = []
+    while True:
+        u = min(range(n), key=lambda v: (-rem[v], v), default=None)
+        if u is None or rem[u] == 0:
+            break
+        targets = sorted(
+            (v for v in range(n) if v != u and rem[v] > 0),
+            key=lambda v: (-rem[v], v),
+        )[: rem[u]]
+        assert len(targets) == rem[u]
+        for v in targets:
+            edges.append((u, v))
+            rem[v] -= 1
+        rem[u] = 0
+    return SmallGraph(n, edges)
+
+
+def _reference_embedding(pattern, host):
+    if pattern.k > host.k:
+        return None
+    pdeg = pattern.degrees()
+    hdeg = host.degrees()
+    order = []
+    placed_mask = 0
+    while len(order) < pattern.k:
+        u = max(
+            (v for v in range(pattern.k) if not (placed_mask >> v) & 1),
+            key=lambda v: ((pattern.adj[v] & placed_mask).bit_count(), pdeg[v]),
+        )
+        order.append(u)
+        placed_mask |= 1 << u
+    assignment = {}
+    used = 0
+
+    def place(depth):
+        nonlocal used
+        if depth == len(order):
+            return True
+        u = order[depth]
+        for w in range(host.k):
+            if (used >> w) & 1 or hdeg[w] < pdeg[u]:
+                continue
+            if all(
+                host.has_edge(assignment[nb], w)
+                for nb in range(pattern.k)
+                if (pattern.adj[u] >> nb) & 1 and nb in assignment
+            ):
+                assignment[u] = w
+                used |= 1 << w
+                if place(depth + 1):
+                    return True
+                used &= ~(1 << w)
+                del assignment[u]
+        return False
+
+    return dict(assignment) if place(0) else None
+
+
+def _patterns():
+    graphs = corpus().values()
+    return list(dict.fromkeys([*graphs, *(sub for h in graphs for sub, _, _ in _d1_classes(h))]))
+
+
+def test_fast_path_matches_reference_up_to_n8():
+    patterns = _patterns()
+    calls = 0
+    for n in range(9):
+        for s in enumerate_graphic_sequences(n):
+            host = canonical_realization(s).graph
+            assert host.adj == _reference_realization(s.terms).adj, s
+            for p in patterns:
+                got = find_embedding(p, host)
+                want = _reference_embedding(p, host)
+                assert got == want and list(got or ()) == list(want or ()), (s, p)
+                calls += 1
+    assert calls == 1707 * len(patterns)

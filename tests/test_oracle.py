@@ -12,6 +12,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from conftest import corpus
+from potnum import oracle
 from potnum.graphs import (
     SmallGraph,
     complete_bipartite,
@@ -28,7 +29,6 @@ from potnum.oracle import (
     canonical_realization,
     enumerate_graphic_sequences,
     potentially,
-    potentially_split,
     sigma_exact,
     two_switch,
     yin_li_kk,
@@ -225,25 +225,8 @@ def test_yin_li_implies_potentially():
 
 
 def test_potentially_split_examples():
-    assert potentially_split(seq("7,1^7"), 1, 2)
-    assert not potentially_split(seq("4,4,1^6"), 2, 1)
-    want = potentially(seq("3,3,2,2,2"), complete_split(2, 2)).answer
-    assert potentially_split(seq("3,3,2,2,2"), 2, 2) == want
-
-
-def test_potentially_split_agrees_with_general_oracle():
-    rng = random.Random(808)
-    shapes = [(1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (1, 4)]
-    for _ in range(250):
-        n = rng.randrange(4, 9)
-        while True:
-            s = DegreeSequence(rng.randrange(0, n) for _ in range(n))
-            if is_graphic(s):
-                break
-        r, t = rng.choice(shapes)
-        if r + t > n:
-            continue
-        assert potentially_split(s, r, t) == potentially(s, complete_split(r, t)).answer
+    assert potentially(seq("7,1^7"), complete_split(1, 2)).answer
+    assert not potentially(seq("4,4,1^6"), complete_split(2, 1)).answer
 
 
 # --- enumeration -------------------------------------------------------------------
@@ -365,6 +348,25 @@ def test_sigma_n11_values():
     assert (k3.value, len(k3.extremal_sequences)) == (22, 5)
     k23 = sigma_exact(complete_bipartite(2, 3), 11, cap_n=11)
     assert (k23.value, len(k23.extremal_sequences)) == (34, 3)
+
+
+def test_sigma_n12_values():
+    # sigma(C6, 12) is 46, measured; it takes several seconds, so it stays
+    # out of this suite
+    k3 = sigma_exact(complete_graph(3), 12, cap_n=12)
+    assert (k3.value, len(k3.extremal_sequences)) == (24, 6)
+    k23 = sigma_exact(complete_bipartite(2, 3), 12, cap_n=12)
+    assert (k23.value, len(k23.extremal_sequences)) == (38, 1)
+
+
+def test_sigma_unchanged_with_decision_cache_at_its_cap(monkeypatch):
+    want = {name: sigma_exact(h, 8) for name, h in corpus().items()}
+    monkeypatch.setattr(oracle, "_DECIDE_CACHE_MAX", 64)
+    monkeypatch.setattr(oracle, "_DECIDE_CACHE", {})
+    monkeypatch.setattr(oracle, "_SIGMA_CACHE", {})
+    for name, h in corpus().items():
+        assert sigma_exact(h, 8) == want[name], name
+        assert len(oracle._DECIDE_CACHE) <= 64
 
 
 def test_sigma_requires_enough_vertices_and_caps():
