@@ -200,7 +200,7 @@ def complement(g: SmallGraph) -> SmallGraph:
 # Invariants
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def independence_number(g: SmallGraph) -> int:
     """Exact maximum independent set size by branch and bound."""
     if g.k == 0:
@@ -374,7 +374,7 @@ def is_isomorphic(a: SmallGraph, b: SmallGraph) -> bool:
     return find_embedding(a, b) is not None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def canonical_key(g: SmallGraph) -> Tuple:
     """Hashable canonical form: minimum edge bitstring over relabelings.
 

@@ -5,14 +5,25 @@ potential numbers. A potential number scans the graphic sequences of each
 sum level from a depth-first generator that prunes prefixes by an
 Erdős–Gallai bound and skips every subtree whose first k or 2k terms
 already satisfy the Yin–Li clique condition, so that only sequences that
-could refute are decided. The decision procedure:
+could refute are decided.
 
+One recursion decides a sequence. It tries these rules in order:
+
+* the degree pre-check: the sorted degrees of H must fit under the head
+  of the sequence;
+* the Yin–Li clique condition, which proves every order-k graph present;
 * dominating heads (d1 = n-1) are stripped recursively, trading H for its
   one-vertex-deleted family, which keeps near-extremal sequences cheap;
+* the Havel–Hakimi fast path: H embeds in the canonical realization;
 * otherwise every degree-class-distinct k-subset of positions hosts every
   automorphism-distinct copy of H, and the leftover demands are realized
   by backtracking edge assignment avoiding the placed copy, pruned by
   Erdős–Gallai feasibility at each level.
+
+A true answer comes back as a witness builder, a callable that produces
+the embedding and the realization only when a certificate is wanted. A
+false answer comes back as a falsy ``Refutation`` that names the rule
+that refuted the sequence and the work that rule cost.
 
 Caps (n <= 10, k <= 8 by default) are explicit arguments; exceeding them
 raises, never truncates.
@@ -20,10 +31,11 @@ raises, never truncates.
 
 from __future__ import annotations
 
+import _thread
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .graphs import MAX_VERTICES, CapExceededError, SmallGraph, canonical_key, find_embedding
 from .sequences import DegreeSequence, _graphic_desc, is_graphic
@@ -50,7 +62,7 @@ class PotentialCertificate:
     answer: bool
     embedding: Optional[Dict[int, int]] = None
     realization: Optional[Realization] = None
-    exhausted: Optional[Dict[str, int]] = None
+    exhausted: Optional[Dict[str, Union[str, int]]] = None
 
     def to_json_dict(self) -> Dict:
         out: Dict = {"potentially": self.answer}
@@ -140,7 +152,7 @@ def two_switch(real: Realization, edge1: Tuple[int, int], edge2: Tuple[int, int]
 # H preprocessing
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def _d1_classes(h: SmallGraph) -> Tuple[Tuple[SmallGraph, int, Tuple[int, ...]], ...]:
     """One-vertex-deleted subgraphs up to isomorphism.
 
@@ -162,7 +174,7 @@ def _d1_classes(h: SmallGraph) -> Tuple[Tuple[SmallGraph, int, Tuple[int, ...]],
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def _distinct_copies(h: SmallGraph) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]], ...]:
     """Distinct labeled copies of h on slots 0..k-1, one per edge set.
 
@@ -185,7 +197,7 @@ def _distinct_copies(h: SmallGraph) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], 
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def _sorted_degrees(h: SmallGraph) -> Tuple[int, ...]:
     return tuple(sorted(h.degrees(), reverse=True))
 
@@ -261,15 +273,32 @@ def _solve_residual(demands: List[int], forb: Sequence[int]) -> Optional[List[Tu
 # Full placement search
 
 
-_SEARCH_STATS = {"subsets": 0, "patterns": 0, "residual_calls": 0}
+class Refutation(NamedTuple):
+    """A false decision: the rule that refuted the sequence and the work
+    it cost, summed over the sub-decisions of a dominating-head strip."""
+
+    rule: str
+    subsets: int = 0
+    patterns: int = 0
+    residual_calls: int = 0
+
+    def __bool__(self) -> bool:
+        return False
 
 
-def _full_search(terms: Tuple[int, ...], h: SmallGraph) -> Optional[Tuple[Dict[int, int], List[Tuple[int, int]]]]:
+# A true decision: a callable returning (embedding, realization).
+_Witness = Callable[[], Tuple[Dict[int, int], Realization]]
+_Decision = Union[_Witness, Refutation]
+
+_DEGREE_REFUTATION = Refutation("degree")
+
+
+def _full_search(terms: Tuple[int, ...], h: SmallGraph) -> _Decision:
     """Search all degree-distinct position subsets and all copies of h.
 
-    Returns (embedding, realization edge list) or None. Complete on its
-    own: any realization containing a copy of h induces a successful
-    placement.
+    Returns a witness builder or a ``full_search`` refutation with its
+    counts of subsets, patterns and residual calls. Complete on its own:
+    any realization containing a copy of h induces a successful placement.
     """
     n = len(terms)
     k = h.k
@@ -299,12 +328,13 @@ def _full_search(terms: Tuple[int, ...], h: SmallGraph) -> Optional[Tuple[Dict[i
         for take in range(min(count, need), -1, -1):
             yield from subsets(run_idx + 1, need - take, acc + list(range(start, start + take)))
 
+    subset_count = pattern_count = residual_calls = 0
     for positions in subsets(0, k, []):
-        _SEARCH_STATS["subsets"] += 1
+        subset_count += 1
         if any(terms[p] < hdegs[idx] for idx, p in enumerate(positions)):
             continue
         for slot_edges, vmap in copies:
-            _SEARCH_STATS["patterns"] += 1
+            pattern_count += 1
             patdeg = [0] * k
             for a, b in slot_edges:
                 patdeg[a] += 1
@@ -324,88 +354,87 @@ def _full_search(terms: Tuple[int, ...], h: SmallGraph) -> Optional[Tuple[Dict[i
                 forb[pa] |= 1 << pb
                 forb[pb] |= 1 << pa
                 placed.append((pa, pb))
-            _SEARCH_STATS["residual_calls"] += 1
+            residual_calls += 1
             rest = _solve_residual(demands, forb)
             if rest is not None:
                 embedding = {u: positions[vmap[u]] for u in range(k)}
-                return embedding, placed + rest
-    return None
+                edges = placed + rest
+                return lambda: (
+                    embedding,
+                    Realization(graph=SmallGraph(n, edges), sequence=DegreeSequence(terms)),
+                )
+    return Refutation("full_search", subset_count, pattern_count, residual_calls)
 
 
 # ---------------------------------------------------------------------------
 # The decision procedure
 
 
-# Decisions by (terms, canonical key of h, use_yin_li); past the cap the
-# oldest entry is evicted, so a long-lived process stays bounded.
+# Decisions by (terms, canonical key of h, use_yin_li): True or the
+# Refutation. Past the cap the oldest entry is evicted, so a long-lived
+# process stays bounded. Every write holds the lock, so that two threads
+# never evict the same key; lookups take no lock.
 _DECIDE_CACHE_MAX = 1 << 18
-_DECIDE_CACHE: Dict[Tuple, bool] = {}
+_DECIDE_CACHE: Dict[Tuple, Union[bool, Refutation]] = {}
+_DECIDE_LOCK = _thread.allocate_lock()
 
 
-def _decide(terms: Tuple[int, ...], h: SmallGraph, use_yin_li: bool = True) -> bool:
+def _decide(terms: Tuple[int, ...], h: SmallGraph, use_yin_li: bool = True) -> _Decision:
+    """Is ``terms`` potentially h-graphic? A witness builder if so, else
+    the refutation. A cached true answer comes back as a builder that runs
+    the search again, since the cache keeps no witness."""
     key = (terms, canonical_key(h), use_yin_li)
     hit = _DECIDE_CACHE.get(key)
+    if hit is True:
+        return lambda: _decide_uncached(terms, h, use_yin_li)()
     if hit is not None:
         return hit
-    n = len(terms)
-    k = h.k
-    if h.edge_count() == 0:
-        ans = n >= k
-    elif n < k:
-        ans = False
-    else:
-        hdegs = _sorted_degrees(h)
-        if any(terms[i] < hdegs[i] for i in range(k)):
-            ans = False
-        elif use_yin_li and _yin_li_terms(terms, k):
-            # a clique on k vertices contains every order-k graph
-            ans = True
-        elif terms[0] == n - 1:
-            lay = tuple(t - 1 for t in terms[1:])
-            ans = any(_decide(lay, sub, use_yin_li) for sub, _, _ in _d1_classes(h))
-        else:
-            real = canonical_realization(DegreeSequence(terms))
-            if find_embedding(h, real.graph) is not None:
-                ans = True
-            else:
-                ans = _full_search(terms, h) is not None
-    if len(_DECIDE_CACHE) >= _DECIDE_CACHE_MAX:
-        del _DECIDE_CACHE[next(iter(_DECIDE_CACHE))]
-    _DECIDE_CACHE[key] = ans
-    return ans
+    found = _decide_uncached(terms, h, use_yin_li)
+    with _DECIDE_LOCK:
+        if len(_DECIDE_CACHE) >= _DECIDE_CACHE_MAX:
+            del _DECIDE_CACHE[next(iter(_DECIDE_CACHE))]
+        _DECIDE_CACHE[key] = True if found else found
+    return found
 
 
-def _certify(terms: Tuple[int, ...], h: SmallGraph) -> Tuple[Dict[int, int], Realization]:
-    """Embedding and realization for a sequence known to be potentially
-    h-graphic; mirrors the decision recursion."""
+def _decide_uncached(terms: Tuple[int, ...], h: SmallGraph, use_yin_li: bool) -> _Decision:
+    """The rules of the module docstring, in order, behind ``_decide``'s cache."""
     n = len(terms)
     k = h.k
-    seq = DegreeSequence(terms)
+    if n < k:
+        return _DEGREE_REFUTATION
     if h.edge_count() == 0:
-        real = canonical_realization(seq)
-        return {u: u for u in range(k)}, real
-    if terms and terms[0] == n - 1:
+        return lambda: ({u: u for u in range(k)}, canonical_realization(DegreeSequence(terms)))
+    hdegs = _sorted_degrees(h)
+    if any(terms[i] < hdegs[i] for i in range(k)):
+        return _DEGREE_REFUTATION
+    if use_yin_li and _yin_li_terms(terms, k):
+        # a clique on k vertices contains every order-k graph, but the
+        # condition names no copy: the witness comes from the other rules
+        return lambda: _decide(terms, h, False)()
+    if terms[0] == n - 1:
         lay = tuple(t - 1 for t in terms[1:])
+        refuted = []
         for sub, deleted, vmap in _d1_classes(h):
-            if _decide(lay, sub):
-                sub_emb, sub_real = _certify(lay, sub)
+            found = _decide(lay, sub, use_yin_li)
+            if not found:
+                refuted.append(found)
+                continue
+
+            def lift():
+                sub_emb, sub_real = found()
                 edges = [(0, j + 1) for j in range(n - 1)]
                 edges += [(u + 1, v + 1) for u, v in sub_real.graph.edges()]
-                real = Realization(graph=SmallGraph(n, edges), sequence=seq)
-                embedding = {
-                    u: 0 if u == deleted else sub_emb[vmap[u]] + 1 for u in range(k)
-                }
-                return embedding, real
-        raise AssertionError("certify: recursion found no deleted-subgraph witness")
-    real = canonical_realization(seq)
+                real = Realization(graph=SmallGraph(n, edges), sequence=DegreeSequence(terms))
+                return {u: 0 if u == deleted else sub_emb[vmap[u]] + 1 for u in range(k)}, real
+
+            return lift
+        return Refutation("dominating_head", *map(sum, zip(*(r[1:] for r in refuted))))
+    real = canonical_realization(DegreeSequence(terms))
     emb = find_embedding(h, real.graph)
     if emb is not None:
-        return emb, real
-    found = _full_search(terms, h)
-    if found is None:
-        raise AssertionError("certify called on a non-potentially-graphic sequence")
-    embedding, edges = found
-    return embedding, Realization(graph=SmallGraph(n, edges), sequence=seq)
+        return lambda: (emb, real)
+    return _full_search(terms, h)
 
 
 def potentially(
@@ -416,8 +445,12 @@ def potentially(
 ) -> PotentialCertificate:
     """Exact decision: does some realization of ``seq`` contain ``h``?
 
-    Returns an embedding plus a witnessing realization when true, and the
-    search statistics when false.
+    One call of the decision recursion. When true, its witness builder
+    gives an embedding plus a witnessing realization. When false,
+    ``exhausted`` holds the refutation: the ``rule`` that refuted the
+    sequence (``degree``, ``dominating_head`` or ``full_search``) and the
+    ``subsets``, ``patterns`` and ``residual_calls`` it searched. A
+    cached decision reports the same.
     """
     if not is_graphic(seq):
         raise ValueError(f"sequence {seq.to_text()} is not graphic")
@@ -425,11 +458,10 @@ def potentially(
         raise CapExceededError(f"length {seq.n} exceeds cap {cap_n}")
     if h.k > cap_k:
         raise CapExceededError(f"graph order {h.k} exceeds cap {cap_k}")
-    for key in _SEARCH_STATS:
-        _SEARCH_STATS[key] = 0
-    if not _decide(seq.terms, h):
-        return PotentialCertificate(answer=False, exhausted=dict(_SEARCH_STATS))
-    embedding, real = _certify(seq.terms, h)
+    found = _decide(seq.terms, h)
+    if not found:
+        return PotentialCertificate(answer=False, exhausted=found._asdict())
+    embedding, real = found()
     for u, v in h.edges():
         if not real.graph.has_edge(embedding[u], embedding[v]):
             raise AssertionError("certificate embedding does not carry an edge")
@@ -518,9 +550,6 @@ def _graphic_of_sum(n: int, total: int, k: int) -> Iterator[Tuple[int, ...]]:
     return extend(0, 0, max(n - 1, 0))
 
 
-_SIGMA_CACHE: Dict[Tuple[SmallGraph, int], SigmaExact] = {}
-
-
 def sigma_exact(
     h: SmallGraph,
     n: int,
@@ -541,18 +570,10 @@ def sigma_exact(
         raise CapExceededError(f"graph order {h.k} exceeds cap {cap_k}")
     if n < h.k:
         raise ValueError(f"length {n} below graph order {h.k}")
-    cached = _SIGMA_CACHE.get((h, n))
-    if cached is not None:
-        return cached
-    result = None
     for total in range(n * (n - 1), -1, -2):
         falses = tuple(
             s for s in enumerate_graphic_sequences(n, total, k=h.k) if not _decide(s.terms, h)
         )
         if falses:
-            result = SigmaExact(n=n, value=total + 2, extremal_sequences=falses)
-            break
-    if result is None:
-        result = SigmaExact(n=n, value=0, extremal_sequences=())
-    _SIGMA_CACHE[(h, n)] = result
-    return result
+            return SigmaExact(n=n, value=total + 2, extremal_sequences=falses)
+    return SigmaExact(n=n, value=0, extremal_sequences=())

@@ -86,7 +86,7 @@ class ExtremalWitness:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def profile(h: SmallGraph) -> PotentialProfile:
     """Full potential profile. Requires at least one edge."""
     if h.edge_count() == 0:

@@ -58,6 +58,9 @@ def test_check_false(capsys):
     code, out, _ = run_cli(capsys, "check", "4,4,1^6", "K 3")
     assert code == 0
     assert out.splitlines()[0] == "potentially: false"
+    code, out, _ = run_cli(capsys, "check", "4,4,1^6", "K 3", "--json")
+    assert code == 0
+    assert json.loads(out)["exhausted"]["rule"] == "degree"
 
 
 def test_check_true_json(capsys):

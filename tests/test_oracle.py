@@ -7,6 +7,8 @@ regular obstructions beat the clique formula at these lengths.
 """
 
 import random
+import sys
+import threading
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -174,6 +176,18 @@ def test_potentially_certificate_is_checkable():
                 assert g.has_edge(cert.embedding[u], cert.embedding[v])
         else:
             assert cert.exhausted is not None
+
+
+def test_exhausted_names_its_rule_and_is_the_same_from_the_cache(monkeypatch):
+    monkeypatch.setattr(oracle, "_DECIDE_CACHE", {})
+    cases = [
+        ("7,6,3,3,2,2,2,1", cycle_graph(6), "dominating_head", (8, 60, 6)),
+        ("4,4,1^6", complete_graph(3), "degree", (0, 0, 0)),
+    ]
+    for text, h, rule, (subsets, patterns, residual_calls) in cases:
+        want = {"rule": rule, "subsets": subsets, "patterns": patterns, "residual_calls": residual_calls}
+        assert potentially(seq(text), h).exhausted == want, text
+        assert potentially(seq(text), h).exhausted == want, text
 
 
 def test_potentially_rejects_non_graphic_and_caps():
@@ -363,10 +377,39 @@ def test_sigma_unchanged_with_decision_cache_at_its_cap(monkeypatch):
     want = {name: sigma_exact(h, 8) for name, h in corpus().items()}
     monkeypatch.setattr(oracle, "_DECIDE_CACHE_MAX", 64)
     monkeypatch.setattr(oracle, "_DECIDE_CACHE", {})
-    monkeypatch.setattr(oracle, "_SIGMA_CACHE", {})
     for name, h in corpus().items():
         assert sigma_exact(h, 8) == want[name], name
         assert len(oracle._DECIDE_CACHE) <= 64
+
+
+def test_sigma_from_threads_with_decision_cache_at_its_cap(monkeypatch):
+    # at the cap every write evicts; two threads must never evict one key
+    graphs = list(corpus().values())
+    want = [sigma_exact(h, 8) for h in graphs]
+    monkeypatch.setattr(oracle, "_DECIDE_CACHE_MAX", 8)
+    monkeypatch.setattr(oracle, "_DECIDE_CACHE", {})
+    results, errors = {}, []
+
+    def run(i):
+        try:
+            results[i] = [sigma_exact(h, 8) for h in graphs]
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert [results[i] for i in range(4)] == [want] * 4
+    assert len(oracle._DECIDE_CACHE) <= 8
 
 
 def test_sigma_requires_enough_vertices_and_caps():
