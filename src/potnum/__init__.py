@@ -58,7 +58,6 @@ from .oracle import (
     enumerate_graphic_sequences,
     potentially,
     sigma_exact,
-    two_switch,
     yin_li_kk,
 )
 from .stability import (
@@ -68,7 +67,7 @@ from .stability import (
     classify_weak,
     double_star_cover,
 )
-from .probe import ProbeConfig, ProbeTrace, ProbeVerdict, run_probe, type2_refine
+from .probe import ProbeConfig, ProbeTrace, ProbeVerdict, run_probe
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -97,25 +97,6 @@ class SmallGraph:
         ]
         return SmallGraph(len(vs), edges)
 
-    def relabel(self, perm: Sequence[int]) -> "SmallGraph":
-        """Image under the permutation vertex i -> perm[i]."""
-        return SmallGraph(self.k, [(perm[u], perm[v]) for u, v in self.edges()])
-
-    def with_edges(self, added: Iterable[Tuple[int, int]] = (),
-                   removed: Iterable[Tuple[int, int]] = ()) -> "SmallGraph":
-        cur = {frozenset(e) for e in self.edges()}
-        for e in removed:
-            fe = frozenset(e)
-            if fe not in cur:
-                raise ValueError(f"edge {tuple(e)} not present")
-            cur.discard(fe)
-        for e in added:
-            fe = frozenset(e)
-            if fe in cur:
-                raise ValueError(f"edge {tuple(e)} already present")
-            cur.add(fe)
-        return SmallGraph(self.k, [tuple(e) for e in cur])
-
 
 # ---------------------------------------------------------------------------
 # Constructors
@@ -276,19 +257,13 @@ def one_edge_set_exists(h: SmallGraph, size: int) -> bool:
     """True iff some ``size``-subset of vertices induces exactly one edge."""
     if not 1 <= size <= h.k:
         raise ValueError(f"subset size {size} out of range 1..{h.k}")
-    return find_one_edge_set(h, size) is not None
-
-
-def find_one_edge_set(h: SmallGraph, size: int) -> Optional[Tuple[int, ...]]:
-    """First vertex subset of the given size inducing exactly one edge."""
     for subset in combinations(range(h.k), size):
         mask = 0
         for v in subset:
             mask |= 1 << v
-        count = sum((h.adj[v] & mask).bit_count() for v in subset) // 2
-        if count == 1:
-            return subset
-    return None
+        if sum((h.adj[v] & mask).bit_count() for v in subset) // 2 == 1:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -127,27 +127,6 @@ def canonical_realization(seq: DegreeSequence) -> Realization:
     return Realization(graph=SmallGraph(n, edges), sequence=seq)
 
 
-def two_switch(real: Realization, edge1: Tuple[int, int], edge2: Tuple[int, int]) -> Realization:
-    """Exchange edges ab, cd for ac, bd; the degree sequence is unchanged.
-
-    Preconditions: ab and cd are edges, ac and bd are nonedges, and the
-    four endpoints are pairwise distinct in the required pattern.
-    """
-    a, b = edge1
-    c, d = edge2
-    g = real.graph
-    if len({a, b}) != 2 or len({c, d}) != 2:
-        raise ValueError("switch endpoints must be distinct within each edge")
-    if a == c or b == d or a == d or b == c:
-        raise ValueError("switch requires four distinct vertices in the crossing pattern")
-    if not g.has_edge(a, b) or not g.has_edge(c, d):
-        raise ValueError("both switch pairs must currently be edges")
-    if g.has_edge(a, c) or g.has_edge(b, d):
-        raise ValueError("replacement pairs must currently be nonedges")
-    new_graph = g.with_edges(added=[(a, c), (b, d)], removed=[(a, b), (c, d)])
-    return Realization(graph=new_graph, sequence=real.sequence)
-
-
 # ---------------------------------------------------------------------------
 # H preprocessing
 

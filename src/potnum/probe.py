@@ -26,9 +26,6 @@ from .graphs import (
     SmallGraph,
     complete_graph,
     complete_split,
-    double_star,
-    find_embedding,
-    find_one_edge_set,
     independence_number,
     join,
     nabla,
@@ -227,10 +224,6 @@ class ProbeTrace:
         return lines
 
 
-def _ceil_frac(x: Fraction) -> int:
-    return math.ceil(x)
-
-
 def _oracle_check(
     seq: DegreeSequence, target: SmallGraph, cfg: ProbeConfig
 ) -> Tuple[Optional[bool], Optional[Dict[int, int]], Optional[Realization]]:
@@ -321,7 +314,7 @@ def run_probe(
         return declared(REASON_EARLY_EXIT)
 
     # initialization: raise the minimum term to ceil(sigma / 2n)
-    init_threshold = _ceil_frac(Fraction(sigma, 2 * n)) if n else 0
+    init_threshold = math.ceil(Fraction(sigma, 2 * n)) if n else 0
     cur, j_init, init_sum = layoff_batch_below(seq, init_threshold)
     trace.init_threshold = init_threshold
     trace.init_laid_off = j_init
@@ -359,7 +352,7 @@ def run_probe(
         check = layoff(hat, 1)
         rec.step3_laid_off = 1
         # step 4: lay off minima until the floor holds
-        threshold = k - i_star + _ceil_frac((nab - 1 - (t + 1) * delta) / 2) - (t + 1)
+        threshold = k - i_star + math.ceil((nab - 1 - (t + 1) * delta) / 2) - (t + 1)
         rec.step4_threshold = threshold
         nxt, j4, _ = layoff_batch_below(check, max(threshold, 0))
         rec.step4_laid_off = j4
@@ -502,213 +495,3 @@ def _pick_min_maxdeg_subgraph(h: SmallGraph, j: int) -> Tuple[SmallGraph, Tuple[
             fallback = (sub, subset)
     assert fallback is not None
     return fallback
-
-
-# ---------------------------------------------------------------------------
-# Refinement for split realizations of Type 2 graphs
-
-
-@dataclass(frozen=True)
-class Type2RefineResult:
-    embedding: Optional[Dict[int, int]]
-    realization: Optional[Realization]
-    cert_max_degree: bool
-    cert_tail_degrees: bool
-    method: Optional[str] = None
-
-
-def type2_refine(g: Realization, h: SmallGraph) -> Type2RefineResult:
-    """Edge exchanges turning a split-graph realization into one containing h.
-
-    The realization must place a clique of order k - alpha - 1 on the top
-    positions, fully joined to the next alpha + 1 positions. Attempts, in
-    order: an edge already inside the independent part (immediate), the
-    pigeonhole exchange building a double star on the independent part
-    plus one clique vertex, and the exchanges that create exactly one edge
-    inside the independent part. Certificates report whether the two
-    degree bounds the refinement relies on hold on this instance.
-    """
-    prof = profile(h)
-    k, alpha = prof.k, prof.alpha
-    q_size, r_size = k - alpha - 1, alpha + 1
-    if q_size < 1:
-        raise ValueError("refinement needs a nonempty clique part (k - alpha - 1 >= 1)")
-    graph = g.graph
-    n = graph.k
-    if n < k:
-        raise ValueError(f"realization has {n} < {k} vertices")
-    q = list(range(q_size))
-    r = list(range(q_size, q_size + r_size))
-    for a, b in ((x, y) for i, x in enumerate(q) for y in q[i + 1:]):
-        if not graph.has_edge(a, b):
-            raise ValueError("malformed clique part: missing internal edge")
-    for a in q:
-        for b in r:
-            if not graph.has_edge(a, b):
-                raise ValueError("malformed split: missing clique-to-independent edge")
-
-    terms = g.sequence.terms
-    cert_max_degree = terms[k - alpha - 1] < 2 * k * k
-    tail_index = k - alpha + 8 * k**4
-    cert_tail = True if tail_index > n else terms[tail_index - 1] <= k - alpha - 1
-
-    one_edge_set = find_one_edge_set(h, alpha + 1)
-
-    def embed_via_one_edge(cur: SmallGraph, edge: Tuple[int, int]) -> Optional[Dict[int, int]]:
-        if one_edge_set is None:
-            return None
-        subset = set(one_edge_set)
-        sub = h.induced(sorted(subset))
-        ranked = sorted(subset)
-        (a, b) = next(
-            (ranked[x], ranked[y])
-            for x in range(len(ranked))
-            for y in range(x + 1, len(ranked))
-            if sub.has_edge(x, y)
-        )
-        u, v = edge
-        mapping = {a: u, b: v}
-        rest_r = [w for w in r if w not in (u, v)]
-        for hv, gv in zip((w for w in ranked if w not in (a, b)), rest_r):
-            mapping[hv] = gv
-        outside = [w for w in range(h.k) if w not in subset]
-        for hv, gv in zip(outside, q):
-            mapping[hv] = gv
-        for x, y in h.edges():
-            if not cur.has_edge(mapping[x], mapping[y]):
-                return None
-        return mapping
-
-    # immediate branch: the independent part already spans an edge
-    for i, u in enumerate(r):
-        for v in r[i + 1:]:
-            if graph.has_edge(u, v):
-                emb = embed_via_one_edge(graph, (u, v))
-                if emb is not None:
-                    return Type2RefineResult(
-                        embedding=emb, realization=g,
-                        cert_max_degree=cert_max_degree, cert_tail_degrees=cert_tail,
-                        method="edge_already_present",
-                    )
-
-    outside = [w for w in range(n) if w not in set(q) | set(r)]
-    vstar = r[0]
-
-    # full-join sub-case: alpha outside neighbors of vstar adjacent to all of Q
-    helpers = [w for w in outside if graph.has_edge(vstar, w) and all(graph.has_edge(w, a) for a in q)]
-    if len(helpers) >= alpha:
-        chosen = helpers[:alpha]
-        core = q + [vstar]
-        max_ind = _max_independent_set(h)
-        rest = [w for w in range(h.k) if w not in max_ind]
-        mapping = dict(zip(max_ind, chosen))
-        mapping.update(zip(rest, core))
-        if all(graph.has_edge(mapping[x], mapping[y]) for x, y in h.edges()):
-            return Type2RefineResult(
-                embedding=mapping, realization=g,
-                cert_max_degree=cert_max_degree, cert_tail_degrees=cert_tail,
-                method="full_join_neighbors",
-            )
-
-    # pigeonhole exchange: build a double star on R together with one
-    # clique vertex, leaves borrowed via non-neighbors of that vertex
-    for b1 in range((alpha + 1) // 2, alpha + 1):
-        b2 = alpha - b1
-        cover_host = join(complete_graph(k - alpha - 2), double_star(b1, b2))
-        cover_map = find_embedding(h, cover_host)
-        if cover_map is None:
-            continue
-        for p in q:
-            w_p = [
-                x for x in outside
-                if graph.has_edge(vstar, x) and not graph.has_edge(p, x)
-            ]
-            star_leaves = r[1: 1 + b2]
-            p_leaves = r[1 + b2:]
-            needed = [ell for ell in star_leaves if not graph.has_edge(vstar, ell)]
-            if len(w_p) < len(needed):
-                continue
-            removed, added = [], []
-            ok = True
-            for ell, x in zip(needed, w_p):
-                if not graph.has_edge(p, ell):
-                    ok = False
-                    break
-                removed += [(x, vstar), (p, ell)]
-                added += [(x, p), (vstar, ell)]
-            if not ok:
-                continue
-            new_graph = graph.with_edges(added=added, removed=removed)
-            host_vertices = (
-                [a for a in q if a != p] + [p, vstar] + p_leaves + star_leaves
-            )
-            mapping = {hv: host_vertices[slot] for hv, slot in cover_map.items()}
-            if all(new_graph.has_edge(mapping[x], mapping[y]) for x, y in h.edges()):
-                return Type2RefineResult(
-                    embedding=mapping,
-                    realization=Realization(graph=new_graph, sequence=g.sequence),
-                    cert_max_degree=cert_max_degree, cert_tail_degrees=cert_tail,
-                    method="double_star_exchange",
-                )
-
-    # exchanges creating exactly one edge inside R
-    if one_edge_set is not None:
-        blocked = set(q) | set(r)
-        for i, u in enumerate(r):
-            for v in r[i + 1:]:
-                if graph.has_edge(u, v):
-                    continue
-                a1s = [x for x in outside if graph.has_edge(u, x)]
-                a2s = [x for x in outside if graph.has_edge(v, x)]
-                for a1 in a1s:
-                    for a2 in a2s:
-                        if a1 != a2 and not graph.has_edge(a1, a2):
-                            new_graph = graph.with_edges(
-                                added=[(u, v), (a1, a2)], removed=[(u, a1), (v, a2)]
-                            )
-                            emb = embed_via_one_edge(new_graph, (u, v))
-                            if emb is not None:
-                                return Type2RefineResult(
-                                    embedding=emb,
-                                    realization=Realization(graph=new_graph, sequence=g.sequence),
-                                    cert_max_degree=cert_max_degree,
-                                    cert_tail_degrees=cert_tail,
-                                    method="two_switch",
-                                )
-                for a1 in a1s:
-                    for a2 in a2s:
-                        banned = blocked | {a1, a2}
-                        for w, x in graph.edges():
-                            for ww, xx in ((w, x), (x, w)):
-                                if ww in banned or xx in banned:
-                                    continue
-                                if graph.has_edge(ww, a1) or graph.has_edge(xx, a2):
-                                    continue
-                                new_graph = graph.with_edges(
-                                    added=[(u, v), (ww, a1), (xx, a2)],
-                                    removed=[(u, a1), (v, a2), (ww, xx)],
-                                )
-                                emb = embed_via_one_edge(new_graph, (u, v))
-                                if emb is not None:
-                                    return Type2RefineResult(
-                                        embedding=emb,
-                                        realization=Realization(
-                                            graph=new_graph, sequence=g.sequence
-                                        ),
-                                        cert_max_degree=cert_max_degree,
-                                        cert_tail_degrees=cert_tail,
-                                        method="three_edge_exchange",
-                                    )
-
-    return Type2RefineResult(
-        embedding=None, realization=None,
-        cert_max_degree=cert_max_degree, cert_tail_degrees=cert_tail,
-    )
-
-
-def _max_independent_set(h: SmallGraph) -> List[int]:
-    alpha = independence_number(h)
-    for subset in combinations(range(h.k), alpha):
-        if all(not h.has_edge(a, b) for i, a in enumerate(subset) for b in subset[i + 1:]):
-            return list(subset)
-    raise AssertionError("no independent set of the computed size")

@@ -77,10 +77,6 @@ class DegreeSequence:
             i = j
         return ",".join(parts)
 
-    @classmethod
-    def parse(cls, text: str) -> "DegreeSequence":
-        return parse_sequence(text)
-
 
 def parse_sequence(text: str) -> DegreeSequence:
     """Parse comma-separated degrees; ``v^m`` means m repeats of v.

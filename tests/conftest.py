@@ -11,6 +11,7 @@ from potnum.graphs import (
     friendship_graph,
     path_graph,
 )
+from potnum.oracle import _d1_classes
 
 
 def corpus():
@@ -25,6 +26,12 @@ def corpus():
         "split23": complete_split(2, 3),
         "friendship2": friendship_graph(2),
     }
+
+
+def corpus_patterns():
+    """The corpus graphs and their one-vertex-deleted classes, 17 in all."""
+    graphs = corpus().values()
+    return list(dict.fromkeys([*graphs, *(sub for h in graphs for sub, _, _ in _d1_classes(h))]))
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ every graphic sequence of length at most 7, and each refutation must
 name the rule that a classification made here assigns it.
 """
 
-from conftest import corpus
+from conftest import corpus_patterns
 from potnum.graphs import SmallGraph, find_embedding
 from potnum.oracle import (
     Realization,
@@ -71,13 +71,8 @@ def _reference_certify(terms, h):
     return _full_search(terms, h)()
 
 
-def _patterns():
-    graphs = corpus().values()
-    return list(dict.fromkeys([*graphs, *(sub for h in graphs for sub, _, _ in _d1_classes(h))]))
-
-
 def test_decide_matches_reference_up_to_n7():
-    patterns = _patterns()
+    patterns = corpus_patterns()
     calls = 0
     for n in range(8):
         for s in enumerate_graphic_sequences(n):

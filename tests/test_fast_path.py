@@ -9,9 +9,9 @@ output, ``None`` and dict key order included, on every graphic sequence
 of length at most 8.
 """
 
-from conftest import corpus
+from conftest import corpus_patterns
 from potnum.graphs import SmallGraph, find_embedding
-from potnum.oracle import _d1_classes, canonical_realization, enumerate_graphic_sequences
+from potnum.oracle import canonical_realization, enumerate_graphic_sequences
 
 
 def _reference_realization(terms):
@@ -75,13 +75,8 @@ def _reference_embedding(pattern, host):
     return dict(assignment) if place(0) else None
 
 
-def _patterns():
-    graphs = corpus().values()
-    return list(dict.fromkeys([*graphs, *(sub for h in graphs for sub, _, _ in _d1_classes(h))]))
-
-
 def test_fast_path_matches_reference_up_to_n8():
-    patterns = _patterns()
+    patterns = corpus_patterns()
     calls = 0
     for n in range(9):
         for s in enumerate_graphic_sequences(n):

@@ -13,7 +13,7 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from conftest import corpus
+from conftest import corpus, corpus_patterns
 from potnum import oracle
 from potnum.graphs import (
     SmallGraph,
@@ -32,7 +32,6 @@ from potnum.oracle import (
     enumerate_graphic_sequences,
     potentially,
     sigma_exact,
-    two_switch,
     yin_li_kk,
     _decide,
 )
@@ -79,71 +78,6 @@ def test_canonical_realization_degrees_positional():
 def test_canonical_realization_rejects_non_graphic():
     with pytest.raises(ValueError):
         canonical_realization(seq("3,3,1,1"))
-
-
-# --- two-switch -------------------------------------------------------------
-
-
-def test_two_switch_valid_exchange():
-    r = canonical_realization(seq("2,2,2,2"))  # a 4-cycle
-    g = r.graph
-    # find a crossing pattern: ab, cd edges with ac, bd nonedges (both
-    # orientations of each edge are eligible)
-    done = False
-    for e1 in g.edges():
-        for e2 in g.edges():
-            for a, b in (e1, e1[::-1]):
-                for c, d in (e2, e2[::-1]):
-                    if len({a, b, c, d}) < 4:
-                        continue
-                    if g.has_edge(a, c) or g.has_edge(b, d):
-                        continue
-                    out = two_switch(r, (a, b), (c, d))
-                    assert out.sequence == r.sequence
-                    assert out.graph.degrees() == g.degrees()
-                    done = True
-    assert done
-
-
-def test_two_switch_precondition_errors():
-    r = canonical_realization(seq("2,1,1,1,1"))  # path P3 plus an edge
-    g = r.graph
-    edges = g.edges()
-    with pytest.raises(ValueError):
-        two_switch(r, edges[0], edges[0])
-    # adjacent replacement pair: pick ab, cd with ac already an edge
-    for a, b in edges:
-        for c, d in edges:
-            if len({a, b, c, d}) == 4 and g.has_edge(a, c):
-                with pytest.raises(ValueError):
-                    two_switch(r, (a, b), (c, d))
-                return
-
-
-def test_two_switch_preserves_graphicality_random():
-    rng = random.Random(17)
-    for _ in range(50):
-        n = rng.randrange(4, 10)
-        while True:
-            s = DegreeSequence(rng.randrange(0, n) for _ in range(n))
-            if is_graphic(s) and s.sum() >= 4:
-                break
-        r = canonical_realization(s)
-        g = r.graph
-        candidates = [
-            ((a, b), (c, d))
-            for a, b in g.edges()
-            for c, d in g.edges()
-            if len({a, b, c, d}) == 4
-            and not g.has_edge(a, c)
-            and not g.has_edge(b, d)
-        ]
-        if not candidates:
-            continue
-        e1, e2 = rng.choice(candidates)
-        out = two_switch(r, e1, e2)
-        assert out.graph.degrees() == g.degrees()
-        assert is_graphic(out.sequence)
 
 
 # --- potentially ------------------------------------------------------------
@@ -250,7 +184,7 @@ def test_enumerate_counts_match_realizable_sequences():
     # distinct degree sequences of graphs on n labeled vertices (OEIS A004251)
     for n, expected in (
         (1, 1), (2, 2), (3, 4), (4, 11), (5, 31), (6, 102), (7, 342),
-        (8, 1213), (9, 4361), (10, 16016),
+        (8, 1213), (9, 4361), (10, 16016), (11, 59348), (12, 222117),
     ):
         assert sum(1 for _ in enumerate_graphic_sequences(n)) == expected
 
@@ -419,49 +353,35 @@ def test_sigma_requires_enough_vertices_and_caps():
         sigma_exact(complete_graph(3), 11)
 
 
-# --- exhaustive cross-validation against all labeled graphs ----------------------
+# --- independent cross-check against the graph atlas -----------------------------
 
 
-def _potentially_by_all_graphs(s, h):
-    """Fully independent decision: scan every labeled graph on n vertices,
-    keep those realizing the sequence, and test containment by brute
-    permutation search."""
-    n = s.n
-    pairs = list(combinations(range(n), 2))
-    target = s.terms
-    from itertools import permutations as perms
+def test_potentially_matches_graph_atlas_up_to_n7():
+    # networkx's atlas lists every graph on at most 7 vertices up to
+    # isomorphism, so a sequence is potentially H-graphic iff VF2 finds H
+    # as a subgraph (not necessarily induced) of an atlas graph realizing it
+    from networkx import Graph, graph_atlas_g
+    from networkx.algorithms.isomorphism import GraphMatcher
 
-    hedges = h.edges()
-    for mask in range(1 << len(pairs)):
-        adj = [0] * n
-        for i, (u, v) in enumerate(pairs):
-            if (mask >> i) & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        if tuple(sorted((a.bit_count() for a in adj), reverse=True)) != target:
-            continue
-        for pi in perms(range(n), h.k):
-            if all((adj[pi[u]] >> pi[v]) & 1 for u, v in hedges):
-                return True
-    return False
-
-
-def test_potentially_matches_all_graph_enumeration_n5():
-    hs = [complete_graph(3), path_graph(4), complete_split(1, 2), cycle_graph(4),
-          complete_split(2, 2), SmallGraph(3, [(0, 1)])]
-    for s in enumerate_graphic_sequences(5):
-        for h in hs:
-            assert potentially(s, h).answer == _potentially_by_all_graphs(s, h), (s, h)
-
-
-def test_potentially_matches_all_graph_enumeration_n6_sampled():
-    rng = random.Random(616)
-    hs = [complete_graph(4), cycle_graph(5), complete_split(2, 2), path_graph(5),
-          cycle_graph(6), SmallGraph(4, [(0, 1), (2, 3)])]
-    pool = list(enumerate_graphic_sequences(6))
-    for s in rng.sample(pool, 30):
-        for h in hs:
-            assert potentially(s, h).answer == _potentially_by_all_graphs(s, h), (s, h)
+    by_sequence = {}
+    for g in graph_atlas_g():
+        if g.number_of_nodes():
+            terms = tuple(sorted((d for _, d in g.degree()), reverse=True))
+            by_sequence.setdefault(terms, []).append(g)
+    assert set(by_sequence) == {s.terms for n in range(1, 8) for s in enumerate_graphic_sequences(n)}
+    assert len(by_sequence) == 493
+    patterns = corpus_patterns()
+    pairs = 0
+    for p in patterns:
+        pattern = Graph(p.edges())
+        pattern.add_nodes_from(range(p.k))
+        for terms, hosts in by_sequence.items():
+            if p.k > len(terms):
+                continue
+            pairs += 1
+            want = any(GraphMatcher(g, pattern).subgraph_is_monomorphic() for g in hosts)
+            assert potentially(DegreeSequence(terms), p).answer == want, (terms, p)
+    assert (len(patterns), pairs) == (17, 8183)
 
 
 # --- target sequences are never potentially graphic ------------------------------

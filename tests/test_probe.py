@@ -1,21 +1,19 @@
-"""Iteration algorithm: worked traces, guard exits, and the refinement."""
+"""Iteration algorithm: worked traces and guard exits."""
 
 import json
 from fractions import Fraction
 
 import pytest
 
-from potnum.graphs import SmallGraph, complete_graph, complete_split, cycle_graph, friendship_graph
-from potnum.oracle import Realization, canonical_realization, potentially
+from potnum.graphs import complete_graph, complete_split, cycle_graph, friendship_graph
 from potnum.potential import target_family
 from potnum.probe import (
     ProbeConfig,
     default_f,
     delta_bound,
     run_probe,
-    type2_refine,
 )
-from potnum.sequences import DegreeSequence, parse_sequence
+from potnum.sequences import parse_sequence
 
 
 def seq(text):
@@ -190,56 +188,3 @@ def test_shrinkage_bound_gate():
     if applicable and trace.ell is not None:
         final_n = trace.iterations[-1].n_t
         assert s.n - final_n < trace.epsilon / (8 * p.k) * s.n
-
-
-# --- refinement -------------------------------------------------------------------
-
-
-def test_refine_star_has_no_embedding():
-    star = canonical_realization(seq("7,1^7"))
-    res = type2_refine(star, complete_graph(3))
-    assert res.embedding is None
-    assert res.cert_max_degree is True  # d_2 = 1 < 2k^2
-    assert res.cert_tail_degrees is True  # index beyond n: vacuous
-
-
-def test_refine_finds_triangle_from_independent_pair():
-    g = SmallGraph(5, [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4), (2, 4)])
-    real = Realization(graph=g, sequence=seq("3,3,2,2,2"))
-    res = type2_refine(real, complete_graph(3))
-    assert res.embedding is not None
-    new_graph = res.realization.graph
-    assert new_graph.degrees() == real.sequence.terms
-    for u, v in complete_graph(3).edges():
-        assert new_graph.has_edge(res.embedding[u], res.embedding[v])
-    # the oracle agrees the sequence is potentially triangle-graphic
-    assert potentially(seq("3,3,2,2,2"), complete_graph(3)).answer
-
-
-def test_refine_immediate_when_independent_part_has_edge():
-    g = SmallGraph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 4)])
-    real = Realization(graph=g, sequence=DegreeSequence(g.degrees()))
-    res = type2_refine(real, complete_graph(3))
-    assert res.embedding is not None
-    assert res.method == "edge_already_present"
-    assert res.realization.graph == g
-
-
-def test_refine_exchange_path_without_common_helper():
-    # no outside neighbor of the first independent vertex sees all of the
-    # clique part, so an exchange has to create the missing edge
-    g = SmallGraph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (3, 5)])
-    real = Realization(graph=g, sequence=DegreeSequence(g.degrees()))
-    res = type2_refine(real, complete_graph(3))
-    assert res.embedding is not None
-    assert res.method == "two_switch"
-    ng = res.realization.graph
-    assert ng.degrees() == real.sequence.terms
-    for u, v in complete_graph(3).edges():
-        assert ng.has_edge(res.embedding[u], res.embedding[v])
-
-
-def test_refine_validates_split_placement():
-    bad = canonical_realization(seq("2,2,2,2"))  # no clique-join structure
-    with pytest.raises(ValueError):
-        type2_refine(bad, cycle_graph(5))
