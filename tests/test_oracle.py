@@ -353,6 +353,51 @@ def test_sigma_requires_enough_vertices_and_caps():
         sigma_exact(complete_graph(3), 11)
 
 
+# --- exhaustive cross-validation against all labeled graphs ----------------------
+
+
+def _potentially_by_all_graphs(s, h):
+    """Fully independent decision: scan every labeled graph on n vertices,
+    keep those realizing the sequence, and test containment by brute
+    permutation search."""
+    n = s.n
+    pairs = list(combinations(range(n), 2))
+    target = s.terms
+    from itertools import permutations as perms
+
+    hedges = h.edges()
+    for mask in range(1 << len(pairs)):
+        adj = [0] * n
+        for i, (u, v) in enumerate(pairs):
+            if (mask >> i) & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        if tuple(sorted((a.bit_count() for a in adj), reverse=True)) != target:
+            continue
+        for pi in perms(range(n), h.k):
+            if all((adj[pi[u]] >> pi[v]) & 1 for u, v in hedges):
+                return True
+    return False
+
+
+def test_potentially_matches_all_graph_enumeration_n5():
+    hs = [complete_graph(3), path_graph(4), complete_split(1, 2), cycle_graph(4),
+          complete_split(2, 2), SmallGraph(3, [(0, 1)])]
+    for s in enumerate_graphic_sequences(5):
+        for h in hs:
+            assert potentially(s, h).answer == _potentially_by_all_graphs(s, h), (s, h)
+
+
+def test_potentially_matches_all_graph_enumeration_n6_sampled():
+    rng = random.Random(616)
+    hs = [complete_graph(4), cycle_graph(5), complete_split(2, 2), path_graph(5),
+          cycle_graph(6), SmallGraph(4, [(0, 1), (2, 3)])]
+    pool = list(enumerate_graphic_sequences(6))
+    for s in rng.sample(pool, 30):
+        for h in hs:
+            assert potentially(s, h).answer == _potentially_by_all_graphs(s, h), (s, h)
+
+
 # --- independent cross-check against the graph atlas -----------------------------
 
 
