@@ -16,8 +16,7 @@ Examples: ``join(K 2, Kbar 3)`` is the complete split graph K2 v K3bar,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import List, NamedTuple, Tuple, Union
 
 from . import graphs
 from .graphs import CapExceededError, SmallGraph
@@ -38,14 +37,12 @@ GENERATOR_ARITY = {
 CALL_ARITY = {"join": 2, "union": 2, "complement": 1}
 
 
-@dataclass(frozen=True)
-class Gen:
+class Gen(NamedTuple):
     name: str
     args: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     name: str
     operands: Tuple["GraphExpr", ...]
 
@@ -61,8 +58,7 @@ class ExprError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "name" | "int" | "(" | ")" | ","
     text: str
     pos: int

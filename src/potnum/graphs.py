@@ -326,7 +326,9 @@ def find_embedding(pattern: SmallGraph, host: SmallGraph) -> Optional[Dict[int, 
                 return True
         return False
 
-    if not place(0, 0):
+    found = place(0, 0)
+    del place  # the closure holds itself through its cell; break the cycle
+    if not found:
         return None
     return {u: image[u] for u, _, _ in plan}
 

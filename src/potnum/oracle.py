@@ -32,7 +32,6 @@ raises, never truncates.
 from __future__ import annotations
 
 import _thread
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -44,21 +43,23 @@ DEFAULT_CAP_N = 10
 DEFAULT_CAP_K = 8
 
 
-@dataclass(frozen=True)
-class Realization:
+# A NamedTuple class body may not define __new__, so the degree check
+# lives in a subclass of the functional form.
+_Realization = NamedTuple("_Realization", [("graph", SmallGraph), ("sequence", DegreeSequence)])
+
+
+class Realization(_Realization):
     """Labeled realization: vertex i carries degree sequence term i."""
 
-    graph: SmallGraph
-    sequence: DegreeSequence
+    __slots__ = ()
 
-    def __post_init__(self):
-        degs = self.graph.degrees()
-        if tuple(degs) != self.sequence.terms:
+    def __new__(cls, graph: SmallGraph, sequence: DegreeSequence) -> Realization:
+        if graph.degrees() != sequence.terms:
             raise ValueError("vertex degrees do not match the sequence positionally")
+        return super().__new__(cls, graph, sequence)
 
 
-@dataclass(frozen=True)
-class PotentialCertificate:
+class PotentialCertificate(NamedTuple):
     answer: bool
     embedding: Optional[Dict[int, int]] = None
     realization: Optional[Realization] = None
@@ -77,8 +78,7 @@ class PotentialCertificate:
         return out
 
 
-@dataclass(frozen=True)
-class SigmaExact:
+class SigmaExact(NamedTuple):
     n: int
     value: int
     extremal_sequences: Tuple[DegreeSequence, ...]
@@ -243,9 +243,13 @@ def _solve_residual(demands: List[int], forb: Sequence[int]) -> Optional[List[Tu
                     return True
             return False
 
-        return choose(0, du, [])
+        found = choose(0, du, [])
+        del choose  # each closure holds itself through its cell; break the cycle
+        return found
 
-    return edges if rec() else None
+    found = rec()
+    del rec
+    return edges if found else None
 
 
 # ---------------------------------------------------------------------------

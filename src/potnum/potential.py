@@ -11,16 +11,14 @@ hinge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .graphs import SmallGraph, deleted_family, independence_number, nabla
 from .sequences import DegreeSequence, is_graphic
 
 
-@dataclass(frozen=True)
-class PotentialProfile:
+class PotentialProfile(NamedTuple):
     k: int
     alpha: int
     nabla_table: Dict[int, int]
@@ -47,8 +45,7 @@ class PotentialProfile:
         }
 
 
-@dataclass(frozen=True)
-class TargetSequence:
+class TargetSequence(NamedTuple):
     """The extremal sequence ((n-1)^{k-i}, (k-i+nabla_i-1)^{n-k+i}).
 
     The last term drops by one exactly when n-k+i and nabla_i-1 are both
@@ -69,8 +66,7 @@ class TargetSequence:
         }
 
 
-@dataclass(frozen=True)
-class ExtremalWitness:
+class ExtremalWitness(NamedTuple):
     """Witness sequence whose only realization is a clique joined to a
     near-balanced double star; used to refute stability."""
 

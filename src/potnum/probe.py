@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .graphs import (
     SmallGraph,
@@ -61,8 +60,7 @@ def delta_bound(epsilon: Fraction, k: int) -> Fraction:
     return epsilon / (16 * k**3 + 48 * k**2 + (32 + epsilon) * k)
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
+class ProbeConfig(NamedTuple):
     epsilon: Fraction = Fraction(1, 4)
     delta: Optional[Fraction] = None  # defaults to half the bound for (epsilon, k)
     f_override: Optional[int] = None
@@ -97,8 +95,7 @@ class ProbeConfig:
         return delta, f, warnings
 
 
-@dataclass(frozen=True)
-class ProbeVerdict:
+class ProbeVerdict(NamedTuple):
     kind: str
     subgraph: Optional[SmallGraph] = None
     embedding: Optional[Dict[int, int]] = None
@@ -125,18 +122,38 @@ class ProbeVerdict:
         return out
 
 
-@dataclass
 class IterationRecord:
-    t: int
-    n_t: int
-    sequence: DegreeSequence
-    sum_bound: Fraction
-    sum_bound_ok: bool
-    removed_nonneighbors: Optional[int] = None
-    step3_laid_off: Optional[int] = None
-    step4_laid_off: Optional[int] = None
-    step4_threshold: Optional[int] = None
-    halting_reason: Optional[str] = None
+    """One pass of the loop; ``run_probe`` fills in the step fields as it goes."""
+
+    __slots__ = (
+        "t", "n_t", "sequence", "sum_bound", "sum_bound_ok", "removed_nonneighbors",
+        "step3_laid_off", "step4_laid_off", "step4_threshold", "halting_reason",
+    )
+
+    def __init__(
+        self,
+        *,
+        t: int,
+        n_t: int,
+        sequence: DegreeSequence,
+        sum_bound: Fraction,
+        sum_bound_ok: bool,
+        removed_nonneighbors: Optional[int] = None,
+        step3_laid_off: Optional[int] = None,
+        step4_laid_off: Optional[int] = None,
+        step4_threshold: Optional[int] = None,
+        halting_reason: Optional[str] = None,
+    ):
+        self.t = t
+        self.n_t = n_t
+        self.sequence = sequence
+        self.sum_bound = sum_bound
+        self.sum_bound_ok = sum_bound_ok
+        self.removed_nonneighbors = removed_nonneighbors
+        self.step3_laid_off = step3_laid_off
+        self.step4_laid_off = step4_laid_off
+        self.step4_threshold = step4_threshold
+        self.halting_reason = halting_reason
 
     def to_json_dict(self) -> Dict:
         return {
@@ -153,23 +170,50 @@ class IterationRecord:
         }
 
 
-@dataclass
 class ProbeTrace:
-    n: int
-    sigma: int
-    epsilon: Fraction
-    delta: Fraction
-    f: int
-    warnings: List[str]
-    precondition_ok: bool
-    init_threshold: Optional[int] = None
-    init_laid_off: Optional[int] = None
-    init_laid_off_sum: Optional[int] = None
-    early_exit: bool = False
-    iterations: List[IterationRecord] = field(default_factory=list)
-    ell: Optional[int] = None
-    final: Optional[Dict] = None
-    verdict: Optional[ProbeVerdict] = None
+    """The audit trace of one run. With its iteration records it is the one
+    mutable result, since ``run_probe`` fills it in step by step."""
+
+    __slots__ = (
+        "n", "sigma", "epsilon", "delta", "f", "warnings", "precondition_ok",
+        "init_threshold", "init_laid_off", "init_laid_off_sum", "early_exit",
+        "iterations", "ell", "final", "verdict",
+    )
+
+    def __init__(
+        self,
+        *,
+        n: int,
+        sigma: int,
+        epsilon: Fraction,
+        delta: Fraction,
+        f: int,
+        warnings: List[str],
+        precondition_ok: bool,
+        init_threshold: Optional[int] = None,
+        init_laid_off: Optional[int] = None,
+        init_laid_off_sum: Optional[int] = None,
+        early_exit: bool = False,
+        iterations: Optional[List[IterationRecord]] = None,
+        ell: Optional[int] = None,
+        final: Optional[Dict] = None,
+        verdict: Optional[ProbeVerdict] = None,
+    ):
+        self.n = n
+        self.sigma = sigma
+        self.epsilon = epsilon
+        self.delta = delta
+        self.f = f
+        self.warnings = warnings
+        self.precondition_ok = precondition_ok
+        self.init_threshold = init_threshold
+        self.init_laid_off = init_laid_off
+        self.init_laid_off_sum = init_laid_off_sum
+        self.early_exit = early_exit
+        self.iterations = [] if iterations is None else iterations
+        self.ell = ell
+        self.final = final
+        self.verdict = verdict
 
     def removals_accounting(self) -> Dict[str, int]:
         """Bookkeeping of every removed term across the run."""

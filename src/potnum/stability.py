@@ -9,8 +9,7 @@ in the remaining cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .graphs import (
     SmallGraph,
@@ -39,8 +38,7 @@ class CoverUndefinedError(ValueError):
     """The double-star cover question is ill-posed (k - alpha - 2 < 0)."""
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     status: str  # Stable | NotStable | Unknown
     theorem: Optional[str]  # MainLow | MainHigh | NotStable
     cover: Optional[Tuple[int, int]]  # (b1, b2) for MainHigh
@@ -65,8 +63,7 @@ class StabilityVerdict:
         }
 
 
-@dataclass(frozen=True)
-class WeakVerdict:
+class WeakVerdict(NamedTuple):
     status: str  # WeaklyStable | NotWeaklyStable | Unknown
     basis: Optional[str]  # CliqueWeak | RhoDegreeSufficient | ImpliedBySigmaStable
     graph: SmallGraph

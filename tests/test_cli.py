@@ -1,8 +1,11 @@
 """Command-line surface: outputs, JSON round trips, exit codes."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
-
+import potnum
 from potnum.cli import main
 
 
@@ -138,3 +141,15 @@ def test_all_json_outputs_are_valid_json(capsys):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0, argv
         json.loads(out)
+
+
+def test_cold_import_skips_dataclasses_and_inspect():
+    # every `potnum` start pays for the modules the CLI imports; these
+    # cost about a third of the import and the records do not need them
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import potnum.cli; print(*sys.modules)"
+    src = str(Path(potnum.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code, src], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    loaded = set(run.stdout.split())
+    assert "potnum.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}

@@ -1,5 +1,6 @@
 """Small-graph structure: constructors, invariants, embeddings, file format."""
 
+import gc
 import random
 from itertools import combinations, permutations
 
@@ -7,6 +8,7 @@ import pytest
 
 from potnum.graphs import (
     SmallGraph,
+    canonical_key,
     complement,
     complete_bipartite,
     complete_graph,
@@ -185,6 +187,22 @@ def test_find_embedding_carries_edges():
         assert all(host.has_edge(m[u], m[v]) for u, v in pattern.edges())
 
 
+def test_find_embedding_leaves_no_cyclic_garbage():
+    # the recursive closure is released when the call returns, so the
+    # search makes no work for the cycle collector
+    assert find_embedding(cycle_graph(5), complete_graph(7)) is not None
+    assert find_embedding(complete_graph(4), cycle_graph(7)) is None
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            find_embedding(cycle_graph(5), complete_graph(7))
+            find_embedding(complete_graph(4), cycle_graph(7))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # --- one-edge subsets ---------------------------------------------------------
 
 
@@ -195,6 +213,23 @@ def test_one_edge_set_examples():
 
 
 # --- isomorphism ----------------------------------------------------------------
+
+
+def test_canonical_key_separates_atlas_graphs():
+    # networkx's atlas lists every graph on at most 7 vertices once up to
+    # isomorphism, so the keys of one order must all differ, and a random
+    # relabeling must keep each key
+    from networkx import graph_atlas_g
+
+    rng = random.Random(17)
+    keys = {}
+    for g in graph_atlas_g():
+        k = g.number_of_nodes()
+        key = canonical_key(SmallGraph(k, g.edges()))
+        perm = rng.sample(range(k), k)
+        assert canonical_key(SmallGraph(k, [(perm[u], perm[v]) for u, v in g.edges()])) == key
+        keys.setdefault(k, set()).add(key)
+    assert [len(keys[k]) for k in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
 
 
 def test_double_complement_isomorphic():

@@ -6,6 +6,7 @@ test_sigma_k4_n6_matches_full_graph_enumeration): the octahedron-style
 regular obstructions beat the clique formula at these lengths.
 """
 
+import gc
 import random
 import sys
 import threading
@@ -78,6 +79,23 @@ def test_canonical_realization_degrees_positional():
 def test_canonical_realization_rejects_non_graphic():
     with pytest.raises(ValueError):
         canonical_realization(seq("3,3,1,1"))
+
+
+def test_solve_residual_leaves_no_cyclic_garbage():
+    # the recursive closures are released when the call returns, so the
+    # search makes no work for the cycle collector
+    feasible, infeasible = ([3, 3, 2, 2, 2, 2], [0] * 6), ([1, 1], [0b10, 0b01])
+    assert oracle._solve_residual(*feasible) is not None
+    assert oracle._solve_residual(*infeasible) is None
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            oracle._solve_residual(list(feasible[0]), feasible[1])
+            oracle._solve_residual(list(infeasible[0]), infeasible[1])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- potentially ------------------------------------------------------------
