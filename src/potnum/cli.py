@@ -42,8 +42,12 @@ class UsageError(ValueError):
 
 def _load_graph(source: str, cap: int) -> SmallGraph:
     if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            return parse_graph_file(fh.read())
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read graph file {source!r}: {exc.strerror or exc}") from None
+        return parse_graph_file(text)
     return graph_from_text(source, cap=cap)
 
 

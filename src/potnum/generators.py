@@ -20,8 +20,7 @@ from typing import List, NamedTuple, Tuple, Union
 
 from . import graphs
 from .graphs import CapExceededError, SmallGraph
-
-MAX_INT_ARG = 10**6
+from .sequences import MAX_INT_ARG
 
 GENERATOR_ARITY = {
     "K": 1,

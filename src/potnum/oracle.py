@@ -7,11 +7,12 @@ Erdős–Gallai bound and skips every subtree whose first k or 2k terms
 already satisfy the Yin–Li clique condition, so that only sequences that
 could refute are decided.
 
-One recursion decides a sequence. It tries these rules in order:
+Yin–Li only prunes that scan. It is not a decision rule: it names no
+copy of H, and a true answer must carry one. One recursion decides a
+sequence. It tries these rules in order:
 
 * the degree pre-check: the sorted degrees of H must fit under the head
   of the sequence;
-* the Yin–Li clique condition, which proves every order-k graph present;
 * dominating heads (d1 = n-1) are stripped recursively, trading H for its
   one-vertex-deleted family, which keeps near-extremal sequences cheap;
 * the Havel–Hakimi fast path: H embeds in the canonical realization;
@@ -31,7 +32,6 @@ raises, never truncates.
 
 from __future__ import annotations
 
-import _thread
 from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -276,6 +276,23 @@ _Decision = Union[_Witness, Refutation]
 _DEGREE_REFUTATION = Refutation("degree")
 
 
+def _run_subsets(
+    runs: List[Tuple[int, int]], run_idx: int, need: int, acc: List[int]
+) -> Iterator[List[int]]:
+    """Position sets of size ``need`` that take a prefix of each run of
+    equal degree from ``run_idx`` on, one per choice of counts."""
+    if need == 0:
+        yield acc
+        return
+    if run_idx == len(runs):
+        return
+    start, count = runs[run_idx]
+    if sum(c for _, c in runs[run_idx:]) < need:
+        return
+    for take in range(min(count, need), -1, -1):
+        yield from _run_subsets(runs, run_idx + 1, need - take, acc + list(range(start, start + take)))
+
+
 def _full_search(terms: Tuple[int, ...], h: SmallGraph) -> _Decision:
     """Search all degree-distinct position subsets and all copies of h.
 
@@ -298,21 +315,8 @@ def _full_search(terms: Tuple[int, ...], h: SmallGraph) -> _Decision:
         runs.append((i, j - i))
         i = j
 
-    def subsets(run_idx: int, need: int, acc: List[int]) -> Iterator[List[int]]:
-        if need == 0:
-            yield acc
-            return
-        if run_idx == len(runs):
-            return
-        start, count = runs[run_idx]
-        remaining_capacity = sum(c for _, c in runs[run_idx:])
-        if remaining_capacity < need:
-            return
-        for take in range(min(count, need), -1, -1):
-            yield from subsets(run_idx + 1, need - take, acc + list(range(start, start + take)))
-
     subset_count = pattern_count = residual_calls = 0
-    for positions in subsets(0, k, []):
+    for positions in _run_subsets(runs, 0, k, []):
         subset_count += 1
         if any(terms[p] < hdegs[idx] for idx, p in enumerate(positions)):
             continue
@@ -353,35 +357,9 @@ def _full_search(terms: Tuple[int, ...], h: SmallGraph) -> _Decision:
 # The decision procedure
 
 
-# Decisions by (terms, canonical key of h, use_yin_li): True or the
-# Refutation. Past the cap the oldest entry is evicted, so a long-lived
-# process stays bounded. Every write holds the lock, so that two threads
-# never evict the same key; lookups take no lock.
-_DECIDE_CACHE_MAX = 1 << 18
-_DECIDE_CACHE: Dict[Tuple, Union[bool, Refutation]] = {}
-_DECIDE_LOCK = _thread.allocate_lock()
-
-
-def _decide(terms: Tuple[int, ...], h: SmallGraph, use_yin_li: bool = True) -> _Decision:
+def _decide(terms: Tuple[int, ...], h: SmallGraph) -> _Decision:
     """Is ``terms`` potentially h-graphic? A witness builder if so, else
-    the refutation. A cached true answer comes back as a builder that runs
-    the search again, since the cache keeps no witness."""
-    key = (terms, canonical_key(h), use_yin_li)
-    hit = _DECIDE_CACHE.get(key)
-    if hit is True:
-        return lambda: _decide_uncached(terms, h, use_yin_li)()
-    if hit is not None:
-        return hit
-    found = _decide_uncached(terms, h, use_yin_li)
-    with _DECIDE_LOCK:
-        if len(_DECIDE_CACHE) >= _DECIDE_CACHE_MAX:
-            del _DECIDE_CACHE[next(iter(_DECIDE_CACHE))]
-        _DECIDE_CACHE[key] = True if found else found
-    return found
-
-
-def _decide_uncached(terms: Tuple[int, ...], h: SmallGraph, use_yin_li: bool) -> _Decision:
-    """The rules of the module docstring, in order, behind ``_decide``'s cache."""
+    the refutation. The rules of the module docstring, in order."""
     n = len(terms)
     k = h.k
     if n < k:
@@ -391,15 +369,11 @@ def _decide_uncached(terms: Tuple[int, ...], h: SmallGraph, use_yin_li: bool) ->
     hdegs = _sorted_degrees(h)
     if any(terms[i] < hdegs[i] for i in range(k)):
         return _DEGREE_REFUTATION
-    if use_yin_li and _yin_li_terms(terms, k):
-        # a clique on k vertices contains every order-k graph, but the
-        # condition names no copy: the witness comes from the other rules
-        return lambda: _decide(terms, h, False)()
     if terms[0] == n - 1:
         lay = tuple(t - 1 for t in terms[1:])
         refuted = []
         for sub, deleted, vmap in _d1_classes(h):
-            found = _decide(lay, sub, use_yin_li)
+            found = _decide(lay, sub)
             if not found:
                 refuted.append(found)
                 continue
@@ -433,7 +407,7 @@ def potentially(
     ``exhausted`` holds the refutation: the ``rule`` that refuted the
     sequence (``degree``, ``dominating_head`` or ``full_search``) and the
     ``subsets``, ``patterns`` and ``residual_calls`` it searched. A
-    cached decision reports the same.
+    repeat call reports the same.
     """
     if not is_graphic(seq):
         raise ValueError(f"sequence {seq.to_text()} is not graphic")
@@ -509,28 +483,32 @@ def _graphic_of_sum(n: int, total: int, k: int) -> Iterator[Tuple[int, ...]]:
     it passes for every completion and is dropped too. Each leaf gets the
     exact Erdős–Gallai test.
     """
-    terms = [0] * n
+    return _extend_prefix([0] * n, n, total, k, 0, 0, max(n - 1, 0))
 
-    def extend(q: int, placed: int, bound: int) -> Iterator[Tuple[int, ...]]:
-        r = total - placed
-        slots = n - q
-        if slots == 0:
-            leaf = tuple(terms)
-            if _graphic_desc(leaf):
-                yield leaf
-            return
-        q1 = q + 1
-        base = q1 * (q1 - 1)
-        for d in range(min(bound, r), -(-r // slots) - 1, -1):
-            s = placed + d
-            if s > base + min(total - s, (slots - 1) * min(q1, d)):
-                continue
-            terms[q] = d
-            if (q1 == k or q1 == 2 * k) and _yin_li_terms(tuple(terms[:q1]), k):
-                continue
-            yield from extend(q1, s, d)
 
-    return extend(0, 0, max(n - 1, 0))
+def _extend_prefix(
+    terms: List[int], n: int, total: int, k: int, q: int, placed: int, bound: int
+) -> Iterator[Tuple[int, ...]]:
+    """The leaves of ``_graphic_of_sum`` below the prefix ``terms[:q]`` of
+    sum ``placed``, whose next term is at most ``bound``. Writes term q of
+    ``terms`` in place."""
+    r = total - placed
+    slots = n - q
+    if slots == 0:
+        leaf = tuple(terms)
+        if _graphic_desc(leaf):
+            yield leaf
+        return
+    q1 = q + 1
+    base = q1 * (q1 - 1)
+    for d in range(min(bound, r), -(-r // slots) - 1, -1):
+        s = placed + d
+        if s > base + min(total - s, (slots - 1) * min(q1, d)):
+            continue
+        terms[q] = d
+        if (q1 == k or q1 == 2 * k) and _yin_li_terms(tuple(terms[:q1]), k):
+            continue
+        yield from _extend_prefix(terms, n, total, k, q1, s, d)
 
 
 def sigma_exact(

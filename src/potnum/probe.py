@@ -32,7 +32,6 @@ from .graphs import (
 from .oracle import (
     DEFAULT_CAP_K,
     DEFAULT_CAP_N,
-    Realization,
     canonical_realization,
     potentially,
 )
@@ -270,12 +269,12 @@ class ProbeTrace:
 
 def _oracle_check(
     seq: DegreeSequence, target: SmallGraph, cfg: ProbeConfig
-) -> Tuple[Optional[bool], Optional[Dict[int, int]], Optional[Realization]]:
+) -> Tuple[Optional[bool], Optional[Dict[int, int]]]:
     """Verify a claimed containment with the exact oracle when in range."""
     if not cfg.oracle_fallback or seq.n > cfg.cap_n or target.k > cfg.cap_k:
-        return None, None, None
+        return None, None
     cert = potentially(seq, target, cap_n=cfg.cap_n, cap_k=cfg.cap_k)
-    return cert.answer, cert.embedding, cert.realization
+    return cert.answer, cert.embedding
 
 
 def run_probe(
@@ -317,7 +316,7 @@ def run_probe(
         # a declaration below the cap is never emitted unconfirmed: the
         # guard arguments assume large lengths, so a refuted one degrades
         # to inconclusive with both facts recorded
-        ok, emb, _ = _oracle_check(seq, h, cfg)
+        ok, emb = _oracle_check(seq, h, cfg)
         if ok is False:
             return finish(
                 ProbeVerdict(
@@ -337,7 +336,7 @@ def run_probe(
 
     def certified(target_graph: SmallGraph, kind: str, context: str) -> Tuple[ProbeVerdict, ProbeTrace]:
         """Emit found_h / found_split, or inconclusive when the oracle refutes."""
-        ok, emb, _ = _oracle_check(seq, target_graph, cfg)
+        ok, emb = _oracle_check(seq, target_graph, cfg)
         if ok is False:
             return finish(
                 ProbeVerdict(

@@ -10,6 +10,10 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator, Tuple
 
+# The largest integer that text input may ask for: the length of a parsed
+# sequence here, an integer argument of a generator expression there.
+MAX_INT_ARG = 10**6
+
 
 class DegreeSequence:
     """A nonincreasing tuple of nonnegative integer degrees.
@@ -82,7 +86,8 @@ def parse_sequence(text: str) -> DegreeSequence:
     """Parse comma-separated degrees; ``v^m`` means m repeats of v.
 
     Whitespace is ignored anywhere. The empty string parses to the empty
-    sequence. Round-trips exactly with ``DegreeSequence.to_text``.
+    sequence. More than ``MAX_INT_ARG`` terms raise ``ValueError`` before
+    any is built. Round-trips exactly with ``DegreeSequence.to_text``.
     """
     stripped = "".join(text.split())
     if not stripped:
@@ -106,6 +111,8 @@ def parse_sequence(text: str) -> DegreeSequence:
                 raise ValueError(f"bad degree {piece!r}") from None
         if v < 0:
             raise ValueError(f"negative degree {v}")
+        if len(terms) + m > MAX_INT_ARG:
+            raise ValueError(f"more than {MAX_INT_ARG} terms at {piece!r}")
         terms.extend([v] * m)
     return DegreeSequence(terms)
 

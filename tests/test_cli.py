@@ -116,9 +116,18 @@ def test_exit_code_usage_error(capsys):
     assert code == 1 and err
 
 
-def test_exit_code_parse_error(capsys):
+def test_exit_code_parse_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "check", "4,4,oops", "K 3")
     assert code == 1 and err
+    # a directory as the graph, and repeat counts past the length cap and
+    # past the largest index, end in the documented error, not a traceback
+    for argv in (
+        ("check", "2,2,2", str(tmp_path)),
+        ("dist", "1^10000000000000", "1"),
+        ("dist", "1^10000000000000000000", "1"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and err.startswith("error:"), argv
 
 
 def test_exit_code_cap_exceeded(capsys):

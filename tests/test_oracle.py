@@ -82,17 +82,28 @@ def test_canonical_realization_rejects_non_graphic():
 
 
 def test_solve_residual_leaves_no_cyclic_garbage():
-    # the recursive closures are released when the call returns, so the
-    # search makes no work for the cycle collector
+    # the recursive closures are released when the call returns, and the
+    # recursive generators are module functions, so no search makes work
+    # for the cycle collector, even when a witness or an abandoned scan
+    # stops it early
     feasible, infeasible = ([3, 3, 2, 2, 2, 2], [0] * 6), ([1, 1], [0b10, 0b01])
     assert oracle._solve_residual(*feasible) is not None
     assert oracle._solve_residual(*infeasible) is None
+    k3 = complete_graph(3)
+    witnessed, refuted = (4, 3, 3, 2, 2, 2), (7, 1, 1, 1, 1, 1, 1, 1)
+    assert oracle._full_search(witnessed, k3)
+    assert not oracle._full_search(refuted, k3)
+    assert len(list(oracle._graphic_of_sum(7, 10, 3))) == 6
     gc.collect()
     gc.disable()
     try:
         for _ in range(100):
             oracle._solve_residual(list(feasible[0]), feasible[1])
             oracle._solve_residual(list(infeasible[0]), infeasible[1])
+            oracle._full_search(witnessed, k3)
+            oracle._full_search(refuted, k3)
+            list(oracle._graphic_of_sum(7, 10, 3))
+            next(oracle._graphic_of_sum(7, 10, 3))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -130,8 +141,7 @@ def test_potentially_certificate_is_checkable():
             assert cert.exhausted is not None
 
 
-def test_exhausted_names_its_rule_and_is_the_same_from_the_cache(monkeypatch):
-    monkeypatch.setattr(oracle, "_DECIDE_CACHE", {})
+def test_exhausted_names_its_rule_and_is_the_same_on_a_repeat_call():
     cases = [
         ("7,6,3,3,2,2,2,1", cycle_graph(6), "dominating_head", (8, 60, 6)),
         ("4,4,1^6", complete_graph(3), "degree", (0, 0, 0)),
@@ -178,13 +188,13 @@ def test_yin_li_examples():
 
 
 def test_yin_li_implies_potentially():
-    # validated against the exhaustive decision path with the shortcut off
+    # validated against the decision recursion, which does not use Yin–Li
     for k in (3, 4):
         h = complete_graph(k)
         for n in range(k, 9):
             for s in enumerate_graphic_sequences(n):
                 if yin_li_kk(s, k):
-                    assert _decide(s.terms, h, use_yin_li=False), (s, k)
+                    assert _decide(s.terms, h), (s, k)
 
 
 # --- split placement --------------------------------------------------------------
@@ -293,14 +303,14 @@ def test_sigma_k4_small_lengths_true_values():
 
 
 def test_sigma_matches_scan_of_every_sequence_n8():
-    # the reference decides every graphic sequence, Yin–Li shortcut off
+    # the reference decides every graphic sequence, with no Yin–Li pruning
     n = 8
     for name, h in corpus().items():
         want = None
         for total in range(n * (n - 1), -1, -2):
             falses = tuple(
                 s for s in _graphic_by_reference(n, total)
-                if not _decide(s.terms, h, use_yin_li=False)
+                if not _decide(s.terms, h)
             )
             if falses:
                 want = (total + 2, falses)
@@ -325,21 +335,11 @@ def test_sigma_n12_values():
     assert (k23.value, len(k23.extremal_sequences)) == (38, 1)
 
 
-def test_sigma_unchanged_with_decision_cache_at_its_cap(monkeypatch):
-    want = {name: sigma_exact(h, 8) for name, h in corpus().items()}
-    monkeypatch.setattr(oracle, "_DECIDE_CACHE_MAX", 64)
-    monkeypatch.setattr(oracle, "_DECIDE_CACHE", {})
-    for name, h in corpus().items():
-        assert sigma_exact(h, 8) == want[name], name
-        assert len(oracle._DECIDE_CACHE) <= 64
-
-
-def test_sigma_from_threads_with_decision_cache_at_its_cap(monkeypatch):
-    # at the cap every write evicts; two threads must never evict one key
+def test_sigma_from_threads():
+    # README's concurrency claim: threads sharing the module agree with a
+    # serial run, with the interpreter switching threads every microsecond
     graphs = list(corpus().values())
     want = [sigma_exact(h, 8) for h in graphs]
-    monkeypatch.setattr(oracle, "_DECIDE_CACHE_MAX", 8)
-    monkeypatch.setattr(oracle, "_DECIDE_CACHE", {})
     results, errors = {}, []
 
     def run(i):
@@ -361,7 +361,20 @@ def test_sigma_from_threads_with_decision_cache_at_its_cap(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert [results[i] for i in range(4)] == [want] * 4
-    assert len(oracle._DECIDE_CACHE) <= 8
+
+
+def test_oracle_keeps_no_module_state():
+    # decisions are not memoized: no container at module level grows
+    # with the sequences decided
+    sigma_exact(cycle_graph(5), 8)
+    for _ in range(2):
+        potentially(seq("7,6,3,3,2,2,2,1"), cycle_graph(6))
+    state = {
+        name: type(value).__name__
+        for name, value in vars(oracle).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set))
+    }
+    assert state == {}
 
 
 def test_sigma_requires_enough_vertices_and_caps():

@@ -42,7 +42,8 @@ def test_parse_run_length_and_plain():
     assert seq("0^3").terms == (0, 0, 0)
 
 
-@pytest.mark.parametrize("bad", ["1,,2", "x", "2^-1", "-3", "1^"])
+# the last one passes the cap of 10**6 terms only across two items
+@pytest.mark.parametrize("bad", ["1,,2", "x", "2^-1", "-3", "1^", "1^1000000,1"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_sequence(bad)
