@@ -19,10 +19,10 @@ from typing import List, Optional
 
 from .generators import graph_from_text
 from .graphs import SmallGraph, parse_graph_file
-from .oracle import CapExceededError, potentially, sigma_exact
+from .oracle import DEFAULT_CAP_N, CapExceededError, potentially, sigma_exact
 from .potential import profile, rho, target_family, target_sequence
 from .probe import ProbeConfig, run_probe
-from .sequences import l1_distance, parse_sequence
+from .sequences import MAX_INT_ARG, l1_distance, parse_sequence
 from .stability import classify_sigma, classify_weak
 
 EXIT_OK = 0
@@ -97,24 +97,40 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _int_params(params: List[str]) -> List[int]:
+    # each builder makes a sequence of the requested length, term by term
+    values = [int(p) for p in params]
+    for v in values:
+        if v > MAX_INT_ARG:
+            raise ValueError(f"argument {v} exceeds {MAX_INT_ARG}")
+    return values
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def cmd_build(args) -> int:
     h = _load_graph(args.graph, args.cap_n)
     kind = args.kind
+    params = _int_params(args.params)
     if kind == "pi_tilde":
-        if len(args.params) != 2:
+        if len(params) != 2:
             raise UsageError("pi_tilde needs two arguments: i n")
-        i, n = map(int, args.params)
-        ts = target_sequence(h, i, n)
+        ts = target_sequence(h, *params)
         _emit(ts.to_json_dict(), args.json, [ts.seq.to_text()])
     elif kind == "rho":
-        if len(args.params) != 1:
+        if len(params) != 1:
             raise UsageError("rho needs one argument: n")
-        wit = rho(h, int(args.params[0]))
+        wit = rho(h, params[0])
         _emit(wit.to_json_dict(), args.json, [wit.seq.to_text()])
     elif kind == "family":
-        if len(args.params) != 1:
+        if len(params) != 1:
             raise UsageError("family needs one argument: n")
-        fam = target_family(h, int(args.params[0]))
+        fam = target_family(h, params[0])
         _emit(
             {"family": [ts.to_json_dict() for ts in fam]},
             args.json,
@@ -156,8 +172,8 @@ def cmd_probe(args) -> int:
     seq = parse_sequence(args.sequence)
     h = _load_graph(args.graph, args.cap_n)
     cfg = ProbeConfig(
-        epsilon=Fraction(args.epsilon) if args.epsilon else Fraction(1, 4),
-        delta=Fraction(args.delta) if args.delta else None,
+        epsilon=_fraction(args.epsilon) if args.epsilon else Fraction(1, 4),
+        delta=_fraction(args.delta) if args.delta else None,
         f_override=args.f_override,
         oracle_fallback=not args.no_oracle,
         cap_n=args.cap_n,
@@ -197,7 +213,7 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--cap-n", type=int, default=10, help="oracle length cap")
+        p.add_argument("--cap-n", type=int, default=DEFAULT_CAP_N, help="oracle length cap")
 
     p = sub.add_parser("analyze", help="profile a graph and classify its stability")
     p.add_argument("graph")

@@ -22,18 +22,28 @@ from . import graphs
 from .graphs import CapExceededError, SmallGraph
 from .sequences import MAX_INT_ARG
 
-GENERATOR_ARITY = {
-    "K": 1,
-    "Kbar": 1,
-    "C": 1,
-    "P": 1,
-    "Kbip": 2,
-    "split": 2,
-    "dstar": 2,
-    "friendship": 1,
+# name -> (arity, order of the graph from the arguments, constructor)
+GENERATORS = {
+    "K": (1, lambda n: n, graphs.complete_graph),
+    "Kbar": (1, lambda n: n, graphs.empty_graph),
+    "C": (1, lambda n: n, graphs.cycle_graph),
+    "P": (1, lambda n: n, graphs.path_graph),
+    "Kbip": (2, lambda r, s: r + s, graphs.complete_bipartite),
+    "split": (2, lambda r, t: r + t, graphs.complete_split),
+    "dstar": (2, lambda b1, b2: b1 + b2 + 2, graphs.double_star),
+    "friendship": (1, lambda t: 2 * t + 1, graphs.friendship_graph),
 }
 
-CALL_ARITY = {"join": 2, "union": 2, "complement": 1}
+# name -> (arity, constructor); a call's order is the sum of its operands'
+CALLS = {
+    "join": (2, graphs.join),
+    "union": (2, graphs.disjoint_union),
+    "complement": (1, graphs.complement),
+}
+
+# Calls nest at most this deep, which keeps the parser, ``expr_order`` and
+# ``build`` far inside Python's recursion limit.
+MAX_DEPTH = 100
 
 
 class Gen(NamedTuple):
@@ -50,7 +60,7 @@ GraphExpr = Union[Gen, Call]
 
 
 class ExprError(ValueError):
-    """Syntax, arity, or overflow error with a character position."""
+    """Syntax, arity, nesting or overflow error with a character position."""
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
@@ -118,46 +128,42 @@ def parse_graph_expr(text: str) -> GraphExpr:
             raise ExprError(f"integer argument {value} too large", tok.pos)
         return value
 
-    def parse_expr() -> GraphExpr:
-        nonlocal pos
+    def parse_expr(depth: int) -> GraphExpr:
         tok = take("name")
-        if tok.text in GENERATOR_ARITY:
-            arity = GENERATOR_ARITY[tok.text]
-            args = tuple(parse_int() for _ in range(arity))
+        if tok.text in GENERATORS:
+            args = tuple(parse_int() for _ in range(GENERATORS[tok.text][0]))
             return Gen(tok.text, args)
-        if tok.text in CALL_ARITY:
-            arity = CALL_ARITY[tok.text]
+        if tok.text in CALLS:
+            if depth == MAX_DEPTH:
+                raise ExprError(f"calls nested deeper than {MAX_DEPTH}", tok.pos)
             take("(")
-            operands = [parse_expr()]
-            for _ in range(arity - 1):
+            operands = [parse_expr(depth + 1)]
+            for _ in range(CALLS[tok.text][0] - 1):
                 take(",")
-                operands.append(parse_expr())
+                operands.append(parse_expr(depth + 1))
             take(")")
             return Call(tok.text, tuple(operands))
         raise ExprError(f"unknown generator {tok.text!r}", tok.pos)
 
-    expr = parse_expr()
+    expr = parse_expr(0)
     if pos != len(tokens):
         tok = tokens[pos]
         raise ExprError(f"trailing input {tok.text!r}", tok.pos)
     return expr
 
 
+def _entry(expr: GraphExpr) -> tuple:
+    """The table entry of the expression's generator or call."""
+    table, kind = (GENERATORS, "generator") if isinstance(expr, Gen) else (CALLS, "call")
+    if expr.name not in table:
+        raise ValueError(f"unknown {kind} {expr.name!r}")
+    return table[expr.name]
+
+
 def expr_order(expr: GraphExpr) -> int:
     """Vertex count of the evaluated expression, without building it."""
     if isinstance(expr, Gen):
-        a = expr.args
-        if expr.name in ("K", "Kbar", "C", "P"):
-            return a[0]
-        if expr.name in ("Kbip", "split"):
-            return a[0] + a[1]
-        if expr.name == "dstar":
-            return a[0] + a[1] + 2
-        if expr.name == "friendship":
-            return 2 * a[0] + 1
-        raise ValueError(f"unknown generator {expr.name!r}")
-    if expr.name == "complement":
-        return expr_order(expr.operands[0])
+        return _entry(expr)[1](*expr.args)
     return sum(expr_order(op) for op in expr.operands)
 
 
@@ -175,31 +181,8 @@ def build(expr: GraphExpr, cap: int = graphs.MAX_VERTICES) -> SmallGraph:
 
 def _build(expr: GraphExpr) -> SmallGraph:
     if isinstance(expr, Gen):
-        name, a = expr.name, expr.args
-        if name == "K":
-            return graphs.complete_graph(a[0])
-        if name == "Kbar":
-            return graphs.empty_graph(a[0])
-        if name == "C":
-            return graphs.cycle_graph(a[0])
-        if name == "P":
-            return graphs.path_graph(a[0])
-        if name == "Kbip":
-            return graphs.complete_bipartite(a[0], a[1])
-        if name == "split":
-            return graphs.complete_split(a[0], a[1])
-        if name == "dstar":
-            return graphs.double_star(a[0], a[1])
-        if name == "friendship":
-            return graphs.friendship_graph(a[0])
-        raise ValueError(f"unknown generator {name!r}")
-    if expr.name == "join":
-        return graphs.join(_build(expr.operands[0]), _build(expr.operands[1]))
-    if expr.name == "union":
-        return graphs.disjoint_union(_build(expr.operands[0]), _build(expr.operands[1]))
-    if expr.name == "complement":
-        return graphs.complement(_build(expr.operands[0]))
-    raise ValueError(f"unknown call {expr.name!r}")
+        return _entry(expr)[2](*expr.args)
+    return _entry(expr)[1](*map(_build, expr.operands))
 
 
 def graph_from_text(text: str, cap: int = graphs.MAX_VERTICES) -> SmallGraph:

@@ -8,7 +8,7 @@ subgraph embedding) trivial at this scale.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .sequences import DegreeSequence
@@ -349,66 +349,6 @@ def is_isomorphic(a: SmallGraph, b: SmallGraph) -> bool:
         return False
     # equal order and edge count: an edge-preserving bijection is an isomorphism
     return find_embedding(a, b) is not None
-
-
-@lru_cache(maxsize=1 << 12)
-def canonical_key(g: SmallGraph) -> Tuple:
-    """Hashable canonical form: minimum edge bitstring over relabelings.
-
-    Exhaustive over permutations compatible with iterated degree
-    refinement; exact for any order, intended for k <= 8 where the class
-    sizes stay tiny.
-    """
-    k = g.k
-    if k == 0:
-        return (0,)
-    classes = _refinement_classes(g)
-    best = None
-    for perm in _class_permutations(classes, k):
-        code = 0
-        for u, v in combinations(range(k), 2):
-            code <<= 1
-            if g.has_edge(perm[u], perm[v]):
-                code |= 1
-        if best is None or code < best:
-            best = code
-    return (k, best)
-
-
-def _refinement_classes(g: SmallGraph) -> List[List[int]]:
-    """Iterated neighbor-signature partition, ordered canonically."""
-    sig = {v: (g.degree(v),) for v in range(g.k)}
-    while True:
-        new_sig = {}
-        for v in range(g.k):
-            nb = tuple(sorted(sig[u] for u in _bits(g.adj[v])))
-            new_sig[v] = (sig[v], nb)
-        # relabel signatures to compact canonical tokens
-        ordered = sorted(set(new_sig.values()))
-        token = {s: i for i, s in enumerate(ordered)}
-        compact = {v: (token[new_sig[v]],) for v in range(g.k)}
-        if len(set(compact.values())) == len(set(sig.values())):
-            sig = compact
-            break
-        sig = compact
-    groups: Dict[Tuple, List[int]] = {}
-    for v in range(g.k):
-        groups.setdefault(sig[v], []).append(v)
-    return [groups[key] for key in sorted(groups)]
-
-
-def _class_permutations(classes: List[List[int]], k: int) -> Iterator[List[int]]:
-    """All vertex orders listing refinement classes in order."""
-    def rec(idx: int, acc: List[int]) -> Iterator[List[int]]:
-        if idx == len(classes):
-            yield acc
-            return
-        for perm in permutations(classes[idx]):
-            yield from rec(idx + 1, acc + list(perm))
-
-    for order in rec(0, []):
-        # order lists, for each slot position, which original vertex sits there
-        yield order
 
 
 # ---------------------------------------------------------------------------

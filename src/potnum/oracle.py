@@ -26,8 +26,8 @@ the embedding and the realization only when a certificate is wanted. A
 false answer comes back as a falsy ``Refutation`` that names the rule
 that refuted the sequence and the work that rule cost.
 
-Caps (n <= 10, k <= 8 by default) are explicit arguments; exceeding them
-raises, never truncates.
+The length cap (n <= 10 by default) is an explicit argument; the graph
+order cap, k <= 8, is fixed. Exceeding either raises, never truncates.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .graphs import MAX_VERTICES, CapExceededError, SmallGraph, canonical_key, find_embedding
+from .graphs import MAX_VERTICES, CapExceededError, SmallGraph, find_embedding, is_isomorphic
 from .sequences import DegreeSequence, _graphic_desc, is_graphic
 
 DEFAULT_CAP_N = 10
@@ -140,14 +140,10 @@ def _d1_classes(h: SmallGraph) -> Tuple[Tuple[SmallGraph, int, Tuple[int, ...]],
     maps to -1).
     """
     out = []
-    seen = set()
     for v in range(h.k):
-        kept = [u for u in range(h.k) if u != v]
-        sub = h.induced(kept)
-        key = canonical_key(sub)
-        if key in seen:
+        sub = h.induced([u for u in range(h.k) if u != v])
+        if any(is_isomorphic(sub, kept) for kept, _, _ in out):
             continue
-        seen.add(key)
         vmap = tuple(-1 if u == v else (u if u < v else u - 1) for u in range(h.k))
         out.append((sub, v, vmap))
     return tuple(out)
@@ -398,7 +394,6 @@ def potentially(
     seq: DegreeSequence,
     h: SmallGraph,
     cap_n: int = DEFAULT_CAP_N,
-    cap_k: int = DEFAULT_CAP_K,
 ) -> PotentialCertificate:
     """Exact decision: does some realization of ``seq`` contain ``h``?
 
@@ -413,8 +408,8 @@ def potentially(
         raise ValueError(f"sequence {seq.to_text()} is not graphic")
     if seq.n > cap_n:
         raise CapExceededError(f"length {seq.n} exceeds cap {cap_n}")
-    if h.k > cap_k:
-        raise CapExceededError(f"graph order {h.k} exceeds cap {cap_k}")
+    if h.k > DEFAULT_CAP_K:
+        raise CapExceededError(f"graph order {h.k} exceeds cap {DEFAULT_CAP_K}")
     found = _decide(seq.terms, h)
     if not found:
         return PotentialCertificate(answer=False, exhausted=found._asdict())
@@ -515,7 +510,6 @@ def sigma_exact(
     h: SmallGraph,
     n: int,
     cap_n: int = DEFAULT_CAP_N,
-    cap_k: int = DEFAULT_CAP_K,
 ) -> SigmaExact:
     """Exact potential number: the minimum even integer such that every
     graphic sequence of length n with at least that sum is potentially
@@ -527,8 +521,8 @@ def sigma_exact(
     """
     if n > cap_n:
         raise CapExceededError(f"length {n} exceeds cap {cap_n}")
-    if h.k > cap_k:
-        raise CapExceededError(f"graph order {h.k} exceeds cap {cap_k}")
+    if h.k > DEFAULT_CAP_K:
+        raise CapExceededError(f"graph order {h.k} exceeds cap {DEFAULT_CAP_K}")
     if n < h.k:
         raise ValueError(f"length {n} below graph order {h.k}")
     for total in range(n * (n - 1), -1, -2):

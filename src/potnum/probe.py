@@ -65,7 +65,6 @@ class ProbeConfig(NamedTuple):
     f_override: Optional[int] = None
     oracle_fallback: bool = True
     cap_n: int = DEFAULT_CAP_N
-    cap_k: int = DEFAULT_CAP_K
 
     def resolve(self, k: int) -> Tuple[Fraction, int, List[str]]:
         """Concrete (delta, f) for a graph of order k, plus warnings."""
@@ -271,9 +270,9 @@ def _oracle_check(
     seq: DegreeSequence, target: SmallGraph, cfg: ProbeConfig
 ) -> Tuple[Optional[bool], Optional[Dict[int, int]]]:
     """Verify a claimed containment with the exact oracle when in range."""
-    if not cfg.oracle_fallback or seq.n > cfg.cap_n or target.k > cfg.cap_k:
+    if not cfg.oracle_fallback or seq.n > cfg.cap_n or target.k > DEFAULT_CAP_K:
         return None, None
-    cert = potentially(seq, target, cap_n=cfg.cap_n, cap_k=cfg.cap_k)
+    cert = potentially(seq, target, cap_n=cfg.cap_n)
     return cert.answer, cert.embedding
 
 

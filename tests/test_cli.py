@@ -119,12 +119,20 @@ def test_exit_code_usage_error(capsys):
 def test_exit_code_parse_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "check", "4,4,oops", "K 3")
     assert code == 1 and err
-    # a directory as the graph, and repeat counts past the length cap and
-    # past the largest index, end in the documented error, not a traceback
+    # a directory as the graph, repeat counts and build lengths past the
+    # length cap, zero denominators and a deeply nested expression end in
+    # the documented error, not a traceback
+    deep = "complement(" * 3000 + "K 3" + ")" * 3000
     for argv in (
         ("check", "2,2,2", str(tmp_path)),
         ("dist", "1^10000000000000", "1"),
         ("dist", "1^10000000000000000000", "1"),
+        ("build", "K 3", "rho", "100000000000"),
+        ("build", "K 3", "pi_tilde", "2", "100000000000"),
+        ("build", "K 3", "family", "100000000000"),
+        ("probe", "9,3^9", "split 2 3", "--epsilon", "1/0"),
+        ("probe", "9,3^9", "split 2 3", "--delta", "1/0"),
+        ("analyze", deep),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1 and err.startswith("error:"), argv

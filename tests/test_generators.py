@@ -1,13 +1,21 @@
 """Generator-expression parsing and evaluation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from potnum.generators import ExprError, build, graph_from_text, parse_graph_expr
+from potnum.generators import MAX_DEPTH, ExprError, build, expr_order, graph_from_text, parse_graph_expr
 from potnum.graphs import (
+    complement,
+    complete_bipartite,
+    complete_graph,
     complete_split,
     cycle_graph,
+    disjoint_union,
     double_star,
+    empty_graph,
+    friendship_graph,
     is_isomorphic,
+    join,
     path_graph,
     spanning_subgraph_of,
 )
@@ -41,6 +49,8 @@ def test_union_and_complement():
     assert g.k == 4 and g.edge_count() == 2
     h = graph_from_text("complement(Kbar 4)")
     assert h.edge_count() == 6
+    # calls may nest MAX_DEPTH deep, one more is a parse error
+    assert graph_from_text("complement(" * MAX_DEPTH + "Kbar 4" + ")" * MAX_DEPTH).k == 4
 
 
 def test_whitespace_insensitive():
@@ -59,6 +69,7 @@ def test_whitespace_insensitive():
         "join(K 2, K 2",  # missing paren
         "K 2000000000",  # overflow
         "K -1",  # negatives never tokenize as ints
+        pytest.param("complement(" * (MAX_DEPTH + 1) + "K 3" + ")" * (MAX_DEPTH + 1), id="nested too deep"),
     ],
 )
 def test_parse_errors(bad):
@@ -78,3 +89,53 @@ def test_build_cap_enforced():
 def test_cycle_needs_three_vertices():
     with pytest.raises(ValueError):
         graph_from_text("C 2")
+
+
+# Each generator with its constructor and argument ranges; no generator
+# exceeds 4 vertices, so four leaves stay within the 16-vertex cap.
+_GENERATORS = {
+    "K": (complete_graph, st.integers(0, 4)),
+    "Kbar": (empty_graph, st.integers(0, 4)),
+    "C": (cycle_graph, st.integers(3, 4)),
+    "P": (path_graph, st.integers(1, 4)),
+    "Kbip": (complete_bipartite, st.integers(0, 2), st.integers(0, 2)),
+    "split": (complete_split, st.integers(0, 2), st.integers(0, 2)),
+    "dstar": (double_star, st.integers(0, 1), st.integers(0, 1)),
+    "friendship": (friendship_graph, st.integers(0, 1)),
+}
+_CALLS = {"join": join, "union": disjoint_union, "complement": complement}
+
+_leaves = st.sampled_from(sorted(_GENERATORS)).flatmap(
+    lambda name: st.tuples(st.just(name), *_GENERATORS[name][1:])
+)
+_trees = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(["join", "union"]), inner, inner),
+        st.tuples(st.just("complement"), inner),
+    ),
+    max_leaves=4,
+)
+
+
+def _text(tree):
+    name, *rest = tree
+    if name in _CALLS:
+        return f"{name}({', '.join(map(_text, rest))})"
+    return " ".join(map(str, tree))
+
+
+def _graph(tree):
+    name, *rest = tree
+    if name in _CALLS:
+        return _CALLS[name](*map(_graph, rest))
+    return _GENERATORS[name][0](*rest)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_trees)
+def test_expression_text_builds_the_directly_constructed_graph(tree):
+    graph = _graph(tree)
+    text = _text(tree)
+    assert graph_from_text(text) == graph
+    assert expr_order(parse_graph_expr(text)) == graph.k

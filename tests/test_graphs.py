@@ -8,7 +8,6 @@ import pytest
 
 from potnum.graphs import (
     SmallGraph,
-    canonical_key,
     complement,
     complete_bipartite,
     complete_graph,
@@ -215,21 +214,23 @@ def test_one_edge_set_examples():
 # --- isomorphism ----------------------------------------------------------------
 
 
-def test_canonical_key_separates_atlas_graphs():
+def test_is_isomorphic_on_atlas_graphs():
     # networkx's atlas lists every graph on at most 7 vertices once up to
-    # isomorphism, so the keys of one order must all differ, and a random
-    # relabeling must keep each key
+    # isomorphism: a random relabeling of a graph must match it, and no two
+    # graphs with the same degree sequence (order included) may match
     from networkx import graph_atlas_g
 
     rng = random.Random(17)
-    keys = {}
+    by_degrees = {}
     for g in graph_atlas_g():
         k = g.number_of_nodes()
-        key = canonical_key(SmallGraph(k, g.edges()))
+        sg = SmallGraph(k, g.edges())
         perm = rng.sample(range(k), k)
-        assert canonical_key(SmallGraph(k, [(perm[u], perm[v]) for u, v in g.edges()])) == key
-        keys.setdefault(k, set()).add(key)
-    assert [len(keys[k]) for k in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
+        assert is_isomorphic(SmallGraph(k, [(perm[u], perm[v]) for u, v in g.edges()]), sg)
+        by_degrees.setdefault(tuple(sorted(sg.degrees())), []).append(sg)
+    pairs = [pair for group in by_degrees.values() for pair in combinations(group, 2)]
+    assert len(pairs) == 3375
+    assert not any(is_isomorphic(a, b) for a, b in pairs)
 
 
 def test_double_complement_isomorphic():

@@ -158,7 +158,7 @@ def test_potentially_rejects_non_graphic_and_caps():
     with pytest.raises(CapExceededError):
         potentially(DegreeSequence([1] * 12), complete_graph(3), cap_n=10)
     with pytest.raises(CapExceededError):
-        potentially(seq("2,2,2"), complete_graph(9), cap_k=8)
+        potentially(seq("2,2,2"), complete_graph(9))
 
 
 def test_potentially_monotone_under_layoff():
@@ -458,6 +458,35 @@ def test_potentially_matches_graph_atlas_up_to_n7():
             want = any(GraphMatcher(g, pattern).subgraph_is_monomorphic() for g in hosts)
             assert potentially(DegreeSequence(terms), p).answer == want, (terms, p)
     assert (len(patterns), pairs) == (17, 8183)
+
+
+def test_d1_classes_cover_every_deletion_once_per_class():
+    # the dominating-head strip tries one one-vertex-deleted subgraph per
+    # isomorphism class; networkx's VF2, behind a degree-sequence filter,
+    # must find every deletion among the representatives and no two of them
+    # isomorphic
+    from networkx import Graph, graph_atlas_g, is_isomorphic as nx_isomorphic
+
+    def to_nx(g):
+        out = Graph(g.edges())
+        out.add_nodes_from(range(g.k))
+        return out
+
+    def iso(a, b):
+        return sorted(d for _, d in a.degree()) == sorted(d for _, d in b.degree()) and nx_isomorphic(a, b)
+
+    for g in graph_atlas_g()[1:]:
+        k = g.number_of_nodes()
+        h = SmallGraph(k, g.edges())
+        deleted = [h.induced([u for u in range(k) if u != v]) for v in range(k)]
+        classes = oracle._d1_classes(h)
+        for sub, v, vmap in classes:
+            assert sub == deleted[v]
+            assert vmap == tuple(-1 if u == v else u - (u > v) for u in range(k))
+        graphs = [to_nx(sub) for sub in deleted]
+        reps = [graphs[v] for _, v, _ in classes]
+        assert not any(iso(a, b) for a, b in combinations(reps, 2)), h
+        assert all(any(d is r or iso(d, r) for r in reps) for d in graphs), h
 
 
 # --- target sequences are never potentially graphic ------------------------------

@@ -5,6 +5,7 @@ from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from potnum.sequences import (
     DegreeSequence,
@@ -49,12 +50,10 @@ def test_parse_rejects_malformed(bad):
         parse_sequence(bad)
 
 
-def test_text_round_trip_exact():
-    rng = random.Random(7)
-    for _ in range(200):
-        n = rng.randrange(0, 12)
-        s = DegreeSequence(rng.randrange(0, 9) for _ in range(n))
-        assert parse_sequence(s.to_text()) == s
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 20), max_size=40).map(DegreeSequence))
+def test_text_round_trip_exact(s):
+    assert parse_sequence(s.to_text()) == s
 
 
 def test_text_uses_caret_for_long_runs_only():
