@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CAP = 2
 EXIT_INTERNAL = 3
+MAX_EXPONENT = 1000  # for --epsilon and --delta; the trace prints them exactly
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,6 +109,11 @@ def _int_params(params: List[str]) -> List[int]:
 
 
 def _fraction(text: str) -> Fraction:
+    # Fraction builds 10**exponent exactly before any range check, so a
+    # huge exponent (either sign) would not return
+    exponent = re.search(r"[eE]([-+]?\d[\d_]*)\s*$", text)
+    if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+        raise ValueError(f"exponent in {text!r} exceeds {MAX_EXPONENT}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -19,7 +19,7 @@ import json
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .graphs import (
     SmallGraph,
@@ -35,7 +35,7 @@ from .oracle import (
     canonical_realization,
     potentially,
 )
-from .potential import profile, target_sequence, TargetSequence
+from .potential import PotentialProfile, profile, target_sequence, TargetSequence
 from .sequences import DegreeSequence, degree_sufficient, is_graphic, l1_distance, layoff, layoff_batch_below
 
 FOUND_H = "found_h"
@@ -120,38 +120,20 @@ class ProbeVerdict(NamedTuple):
         return out
 
 
-class IterationRecord:
-    """One pass of the loop; ``run_probe`` fills in the step fields as it goes."""
+class IterationRecord(NamedTuple):
+    """One pass of the loop. A pass that halts at step 1 leaves the step
+    fields None."""
 
-    __slots__ = (
-        "t", "n_t", "sequence", "sum_bound", "sum_bound_ok", "removed_nonneighbors",
-        "step3_laid_off", "step4_laid_off", "step4_threshold", "halting_reason",
-    )
-
-    def __init__(
-        self,
-        *,
-        t: int,
-        n_t: int,
-        sequence: DegreeSequence,
-        sum_bound: Fraction,
-        sum_bound_ok: bool,
-        removed_nonneighbors: Optional[int] = None,
-        step3_laid_off: Optional[int] = None,
-        step4_laid_off: Optional[int] = None,
-        step4_threshold: Optional[int] = None,
-        halting_reason: Optional[str] = None,
-    ):
-        self.t = t
-        self.n_t = n_t
-        self.sequence = sequence
-        self.sum_bound = sum_bound
-        self.sum_bound_ok = sum_bound_ok
-        self.removed_nonneighbors = removed_nonneighbors
-        self.step3_laid_off = step3_laid_off
-        self.step4_laid_off = step4_laid_off
-        self.step4_threshold = step4_threshold
-        self.halting_reason = halting_reason
+    t: int
+    n_t: int
+    sequence: DegreeSequence
+    sum_bound: Fraction
+    sum_bound_ok: bool
+    removed_nonneighbors: Optional[int] = None
+    step3_laid_off: Optional[int] = None
+    step4_laid_off: Optional[int] = None
+    step4_threshold: Optional[int] = None
+    halting_reason: Optional[str] = None
 
     def to_json_dict(self) -> Dict:
         return {
@@ -169,8 +151,9 @@ class IterationRecord:
 
 
 class ProbeTrace:
-    """The audit trace of one run. With its iteration records it is the one
-    mutable result, since ``run_probe`` fills it in step by step."""
+    """The audit trace of one run, and the package's one mutable record:
+    ``run_probe`` fills in the fields after ``precondition_ok`` as the
+    iteration reaches them."""
 
     __slots__ = (
         "n", "sigma", "epsilon", "delta", "f", "warnings", "precondition_ok",
@@ -188,14 +171,6 @@ class ProbeTrace:
         f: int,
         warnings: List[str],
         precondition_ok: bool,
-        init_threshold: Optional[int] = None,
-        init_laid_off: Optional[int] = None,
-        init_laid_off_sum: Optional[int] = None,
-        early_exit: bool = False,
-        iterations: Optional[List[IterationRecord]] = None,
-        ell: Optional[int] = None,
-        final: Optional[Dict] = None,
-        verdict: Optional[ProbeVerdict] = None,
     ):
         self.n = n
         self.sigma = sigma
@@ -204,14 +179,14 @@ class ProbeTrace:
         self.f = f
         self.warnings = warnings
         self.precondition_ok = precondition_ok
-        self.init_threshold = init_threshold
-        self.init_laid_off = init_laid_off
-        self.init_laid_off_sum = init_laid_off_sum
-        self.early_exit = early_exit
-        self.iterations = [] if iterations is None else iterations
-        self.ell = ell
-        self.final = final
-        self.verdict = verdict
+        self.init_threshold: Optional[int] = None
+        self.init_laid_off: Optional[int] = None
+        self.init_laid_off_sum: Optional[int] = None
+        self.early_exit = False
+        self.iterations: List[IterationRecord] = []
+        self.ell: Optional[int] = None
+        self.final: Optional[Dict] = None
+        self.verdict: Optional[ProbeVerdict] = None
 
     def removals_accounting(self) -> Dict[str, int]:
         """Bookkeeping of every removed term across the run."""
@@ -283,20 +258,17 @@ def run_probe(
     and a full per-iteration audit trace.
 
     Caller-facing guarantees: found_h, found_split, and declared_potential
-    verdicts below the cap are always oracle-verified (a refuted claim
-    degrades to inconclusive with the failed guard named), and
-    close_to_target names the member of the target family it is near (a
-    nearby target of an order outside the family is inconclusive).
+    verdicts below the caps are oracle-verified unless ``oracle_fallback``
+    is off (a refuted claim degrades to inconclusive with the failed guard
+    named), and close_to_target names the member of the target family it
+    is near (a nearby target of an order outside the family is
+    inconclusive).
     """
     if not is_graphic(seq):
         raise ValueError(f"sequence {seq.to_text()} is not graphic")
     prof = profile(h)
-    k, alpha, b_h = prof.k, prof.alpha, prof.b_h
-    i_star, nab = prof.i_star, prof.nabla_table[prof.i_star]
-    delta, f, warnings = cfg.resolve(k)
-
-    n = seq.n
-    sigma = seq.sum()
+    delta, f, warnings = cfg.resolve(prof.k)
+    n, sigma = seq.n, seq.sum()
     precondition_ok = sigma >= (prof.sigma_tilde - delta) * n
     if not precondition_ok:
         warnings = warnings + [
@@ -306,215 +278,173 @@ def run_probe(
         n=n, sigma=sigma, epsilon=Fraction(cfg.epsilon), delta=delta, f=f,
         warnings=warnings, precondition_ok=precondition_ok,
     )
-
-    def finish(verdict: ProbeVerdict) -> Tuple[ProbeVerdict, ProbeTrace]:
-        trace.verdict = verdict
-        return verdict, trace
-
-    def declared(reason: str) -> Tuple[ProbeVerdict, ProbeTrace]:
-        # a declaration below the cap is never emitted unconfirmed: the
-        # guard arguments assume large lengths, so a refuted one degrades
-        # to inconclusive with both facts recorded
-        ok, emb = _oracle_check(seq, h, cfg)
+    verdict = _iterate(seq, h, prof, delta, f, trace)
+    if not isinstance(verdict, ProbeVerdict):
+        # a claim below the cap is never emitted unconfirmed: the guard and
+        # halt arguments assume large lengths, so a refuted one degrades to
+        # inconclusive with both facts recorded
+        kind, graph, reason = verdict
+        ok, emb = _oracle_check(seq, graph, cfg)
         if ok is False:
-            return finish(
-                ProbeVerdict(
-                    kind=INCONCLUSIVE,
-                    reason=(
-                        f"{reason} fired, but the oracle refutes potentiality "
-                        f"at this length"
-                    ),
-                )
+            if kind == DECLARED_POTENTIAL:
+                reason = f"{reason} fired, but the oracle refutes potentiality at this length"
+            else:
+                reason = f"{reason}, but the oracle refutes the containment at this length"
+            verdict = ProbeVerdict(kind=INCONCLUSIVE, reason=reason)
+        else:
+            # a declaration shows H only with the oracle's embedding of it
+            if kind == DECLARED_POTENTIAL and emb is None:
+                graph = None
+            verdict = ProbeVerdict(
+                kind=kind, subgraph=graph, embedding=emb, reason=reason, verified=ok
             )
-        return finish(
-            ProbeVerdict(
-                kind=DECLARED_POTENTIAL, reason=reason, verified=ok,
-                embedding=emb, subgraph=h if emb is not None else None,
-            )
-        )
+    trace.verdict = verdict
+    return verdict, trace
 
-    def certified(target_graph: SmallGraph, kind: str, context: str) -> Tuple[ProbeVerdict, ProbeTrace]:
-        """Emit found_h / found_split, or inconclusive when the oracle refutes."""
-        ok, emb = _oracle_check(seq, target_graph, cfg)
-        if ok is False:
-            return finish(
-                ProbeVerdict(
-                    kind=INCONCLUSIVE,
-                    reason=f"{context}, but the oracle refutes the containment at this length",
-                )
-            )
-        return finish(
-            ProbeVerdict(
-                kind=kind, subgraph=target_graph, embedding=emb,
-                verified=ok, reason=context,
-            )
-        )
+
+def _iterate(
+    seq: DegreeSequence, h: SmallGraph, prof: PotentialProfile, delta: Fraction, f: int, trace: ProbeTrace
+) -> Union[ProbeVerdict, Tuple[str, SmallGraph, str]]:
+    """The iteration proper, recorded in ``trace``. Ends in a verdict that
+    needs no oracle, or in a claim ``(kind, graph, reason)`` that
+    ``run_probe`` verifies: a declaration of potentiality (graph ``h``) or
+    a found subgraph."""
+    k, alpha, b_h = prof.k, prof.alpha, prof.b_h
+    i_star, nab = prof.i_star, prof.nabla_table[prof.i_star]
+    n = seq.n
 
     # early exit on the input sequence, before any terms are laid off
     if n >= 2 * k and seq.term(2 * k) >= k - 1:
         trace.early_exit = True
-        return declared(REASON_EARLY_EXIT)
+        return DECLARED_POTENTIAL, h, REASON_EARLY_EXIT
 
     # initialization: raise the minimum term to ceil(sigma / 2n)
-    init_threshold = math.ceil(Fraction(sigma, 2 * n)) if n else 0
-    cur, j_init, init_sum = layoff_batch_below(seq, init_threshold)
-    trace.init_threshold = init_threshold
-    trace.init_laid_off = j_init
-    trace.init_laid_off_sum = init_sum
-    if j_init > 2 * delta * n / (1 + delta):
-        return declared(REASON_INIT_GUARD)
+    trace.init_threshold = math.ceil(Fraction(trace.sigma, 2 * n)) if n else 0
+    cur, trace.init_laid_off, trace.init_laid_off_sum = layoff_batch_below(seq, trace.init_threshold)
+    if trace.init_laid_off > 2 * delta * n / (1 + delta):
+        return DECLARED_POTENTIAL, h, REASON_INIT_GUARD
 
-    halting_reason = None
     t = 0
     while True:
         bound = (2 * (k - i_star) + nab - 1 - (t + 1) * delta - 2 * t) * cur.n
-        rec = IterationRecord(
-            t=t, n_t=cur.n, sequence=cur,
-            sum_bound=bound, sum_bound_ok=cur.sum() >= bound,
-        )
-        trace.iterations.append(rec)
+        head = (t, cur.n, cur, bound, cur.sum() >= bound)
         # step 1: halt on small maximum degree or iteration limit
-        if t == k - alpha - b_h:
-            halting_reason = "iteration_limit"
-            rec.halting_reason = halting_reason
-            break
-        if cur.n == 0 or cur.terms[0] < cur.n - f:
-            halting_reason = "max_degree_small"
-            rec.halting_reason = halting_reason
+        at_limit = t == k - alpha - b_h
+        if at_limit or cur.n == 0 or cur.terms[0] < cur.n - f:
+            reason = "iteration_limit" if at_limit else "max_degree_small"
+            trace.iterations.append(IterationRecord(*head, halting_reason=reason))
             break
         # step 2: drop the non-neighbors of the top vertex of a canonical
         # realization
         real = canonical_realization(cur)
-        keep = [0] + sorted(
-            v for v in range(cur.n) if real.graph.has_edge(0, v)
-        )
-        rec.removed_nonneighbors = cur.n - len(keep)
+        keep = [0] + [v for v in range(cur.n) if real.graph.has_edge(0, v)]
         hat = real.graph.induced(keep).degree_sequence()
         # step 3: lay off the dominating vertex (the maximum term)
         check = layoff(hat, 1)
-        rec.step3_laid_off = 1
         # step 4: lay off minima until the floor holds
         threshold = k - i_star + math.ceil((nab - 1 - (t + 1) * delta) / 2) - (t + 1)
-        rec.step4_threshold = threshold
         nxt, j4, _ = layoff_batch_below(check, max(threshold, 0))
-        rec.step4_laid_off = j4
         # the guard bound is meaningful only while 1 - k*delta stays positive;
         # a degenerate delta (warned about in resolve) falls through instead
         # of declaring unsoundly
-        if 1 - k * delta > 0:
-            guard = Fraction(t + 3) * delta * cur.n / (1 - k * delta)
-            if j4 >= guard:
-                rec.halting_reason = "step4_guard"
-                return declared(REASON_STEP4_GUARD)
+        guard = 1 - k * delta > 0 and j4 >= Fraction(t + 3) * delta * cur.n / (1 - k * delta)
+        trace.iterations.append(IterationRecord(
+            *head, removed_nonneighbors=cur.n - len(keep), step3_laid_off=1,
+            step4_laid_off=j4, step4_threshold=threshold,
+            halting_reason=REASON_STEP4_GUARD if guard else None,
+        ))
+        if guard:
+            return DECLARED_POTENTIAL, h, REASON_STEP4_GUARD
         cur = nxt
         t += 1
 
-    ell = t
-    trace.ell = ell
+    ell = trace.ell = t
     n_ell = cur.n
-
+    floor_needed = k - ell - alpha - b_h
     trace.final = {
         "eta": DegreeSequence(
             [n_ell + ell - 1] * ell + [d + ell for d in cur.terms]
         ).to_text(),
-        "sEll": {"clique": max(k - ell - alpha - b_h, 0), "independent": alpha + b_h},
+        "sEll": {"clique": max(floor_needed, 0), "independent": alpha + b_h},
     }
-    if halting_reason == "iteration_limit":
+    if at_limit:
         if n_ell < alpha + b_h:
-            return finish(
-                ProbeVerdict(
-                    kind=INCONCLUSIVE,
-                    reason=(
-                        f"iteration limit reached with only {n_ell} terms left; "
-                        f"need {alpha + b_h} for the join-back"
-                    ),
-                )
-            )
-        if b_h == 0:
-            return certified(h, FOUND_H, "iteration limit: clique join-back covers the graph")
-        return certified(
-            complete_split(k - alpha - 1, alpha + 1),
-            FOUND_SPLIT,
-            "iteration limit: clique join-back yields the split graph",
-        )
-
-    # halted with ell < k - alpha - b_h and small maximum degree
-    floor_needed = k - ell - alpha - b_h
-    min_term = cur.terms[-1] if cur.n else 0
-    if cur.n == 0 or (floor_needed > 0 and min_term < floor_needed):
-        return finish(
-            ProbeVerdict(
+            return ProbeVerdict(
                 kind=INCONCLUSIVE,
                 reason=(
-                    f"minimum term {min_term} below the floor {floor_needed} "
-                    f"required by the halt analysis"
+                    f"iteration limit reached with only {n_ell} terms left; "
+                    f"need {alpha + b_h} for the join-back"
                 ),
             )
+        kind, graph = _join_back(h, prof)
+        outcome = "covers the graph" if kind == FOUND_H else "yields the split graph"
+        return kind, graph, f"iteration limit: clique join-back {outcome}"
+
+    # halted with ell < k - alpha - b_h and small maximum degree
+    min_term = cur.terms[-1] if cur.n else 0
+    if cur.n == 0 or (floor_needed > 0 and min_term < floor_needed):
+        return ProbeVerdict(
+            kind=INCONCLUSIVE,
+            reason=(
+                f"minimum term {min_term} below the floor {floor_needed} "
+                f"required by the halt analysis"
+            ),
         )
 
-    s_ell = complete_split(k - ell - alpha - b_h, alpha + b_h)
+    s_ell = complete_split(floor_needed, alpha + b_h)
     if degree_sufficient(cur, s_ell.degree_sequence()):
         # bounded-max-degree hypotheses hold: d1 < n_ell - f by the halt,
         # minimum term at least the split's minimum degree checked above
         trace.final["branch"] = "bounded_max_degree"
-        if b_h == 0:
-            return certified(
-                h, FOUND_H, "degree-sufficient for the split remainder under a small maximum degree"
-            )
-        return certified(
-            complete_split(k - alpha - 1, alpha + 1),
-            FOUND_SPLIT,
+        return (
+            *_join_back(h, prof),
             "degree-sufficient for the split remainder under a small maximum degree",
         )
 
-    p = 0
-    for j in range(cur.n, 0, -1):
-        if cur.term(j) >= k - ell - 1:
-            p = j
-            break
+    # p = the number of terms at least k - ell - 1 (the terms are nonincreasing)
+    p = sum(d >= k - ell - 1 for d in cur.terms)
     trace.final["p"] = p
-    if p >= k - ell - alpha - b_h:
-        return finish(
-            ProbeVerdict(
-                kind=INCONCLUSIVE,
-                reason=(
-                    f"p = {p} not below k - ell - alpha - b = {k - ell - alpha - b_h}; "
-                    "halt analysis inapplicable"
-                ),
-            )
+    if p >= floor_needed:
+        return ProbeVerdict(
+            kind=INCONCLUSIVE,
+            reason=(
+                f"p = {p} not below k - ell - alpha - b = {floor_needed}; "
+                "halt analysis inapplicable"
+            ),
         )
     idx = k - ell - p
-    f_sub = _pick_min_maxdeg_subgraph(h, idx)
-    trace.final["fSubgraphVertices"] = list(f_sub[1])
-    host = join(complete_graph(p), f_sub[0])
+    f_graph, f_vertices = _pick_min_maxdeg_subgraph(h, idx)
+    trace.final["fSubgraphVertices"] = list(f_vertices)
+    host = join(complete_graph(p), f_graph)
     if degree_sufficient(cur, host.degree_sequence()):
         trace.final["branch"] = "clique_plus_subgraph"
-        return certified(
-            h, FOUND_H, "degree-sufficient for a clique joined onto an induced subgraph"
-        )
+        return FOUND_H, h, "degree-sufficient for a clique joined onto an induced subgraph"
     trace.final["branch"] = "near_target"
     try:
-        tgt = target_sequence(h, idx, n)
+        tgt = target_sequence(h, idx, trace.n)
     except ValueError as exc:
-        return finish(
-            ProbeVerdict(kind=INCONCLUSIVE, reason=f"target sequence unavailable: {exc}")
-        )
+        return ProbeVerdict(kind=INCONCLUSIVE, reason=f"target sequence unavailable: {exc}")
     if prof.sigma_tilde_i.get(idx) != prof.sigma_tilde:
-        return finish(
-            ProbeVerdict(
-                kind=INCONCLUSIVE,
-                reason=(
-                    f"target of order {idx} lies outside the target family: its "
-                    f"coefficient {prof.sigma_tilde_i.get(idx)} is not sigma_tilde = "
-                    f"{prof.sigma_tilde}"
-                ),
-            )
+        return ProbeVerdict(
+            kind=INCONCLUSIVE,
+            reason=(
+                f"target of order {idx} lies outside the target family: its "
+                f"coefficient {prof.sigma_tilde_i.get(idx)} is not sigma_tilde = "
+                f"{prof.sigma_tilde}"
+            ),
         )
-    return finish(
-        ProbeVerdict(
-            kind=CLOSE_TO_TARGET, target=tgt, distance=l1_distance(seq, tgt.seq)
-        )
+    return ProbeVerdict(
+        kind=CLOSE_TO_TARGET, target=tgt, distance=l1_distance(seq, tgt.seq)
     )
+
+
+def _join_back(h: SmallGraph, prof: PotentialProfile) -> Tuple[str, SmallGraph]:
+    """What joining the stripped clique back onto the remainder contains:
+    H itself when b_h = 0 (Type 1), otherwise the split graph of a clique
+    of order k - alpha - 1 and alpha + 1 independent vertices (Type 2)."""
+    if prof.b_h == 0:
+        return FOUND_H, h
+    return FOUND_SPLIT, complete_split(prof.k - prof.alpha - 1, prof.alpha + 1)
 
 
 def _pick_min_maxdeg_subgraph(h: SmallGraph, j: int) -> Tuple[SmallGraph, Tuple[int, ...]]:

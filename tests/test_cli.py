@@ -136,6 +136,25 @@ def test_exit_code_parse_error(capsys, tmp_path):
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1 and err.startswith("error:"), argv
+    # Fraction would build 10**999999999 before any range check; these run
+    # in a subprocess so that a hang fails the test instead of stalling it
+    code = "import sys; sys.path.insert(0, sys.argv[1]); from potnum.cli import main; sys.exit(main(sys.argv[2:]))"
+    src = str(Path(potnum.__file__).parents[1])
+    for flag in ("--epsilon", "--delta"):
+        for value in ("1e999999999", "1e-999999999"):
+            argv = ["probe", "9,3^9", "split 2 3", flag, value]
+            run = subprocess.run([sys.executable, "-c", code, src, *argv], capture_output=True, text=True, timeout=60)
+            assert run.returncode == 1 and run.stderr.startswith("error:"), argv
+
+
+def test_probe_without_the_oracle(capsys):
+    # --no-oracle reports the iteration's own claim, never a verified flag
+    code, out, _ = run_cli(capsys, "probe", "9,9,2^8", "K 4", "--f-override", "3", "--no-oracle", "--json")
+    verdict = json.loads(out)
+    assert code == 0 and verdict["verdict"] == "found_split"
+    assert verdict["subgraphOrder"] == 4 and "verified" not in verdict
+    code, out, _ = run_cli(capsys, "probe", "4,4,3^5,1", "C 5", "--f-override", "3", "--no-oracle", "--json")
+    assert code == 0 and json.loads(out) == {"verdict": "declared_potential", "reason": "init_guard"}
 
 
 def test_exit_code_cap_exceeded(capsys):

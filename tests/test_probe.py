@@ -2,9 +2,11 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from potnum.generators import graph_from_text
 from potnum.graphs import complete_graph, complete_split, cycle_graph, friendship_graph
 from potnum.potential import target_family
 from potnum.probe import (
@@ -188,3 +190,22 @@ def test_shrinkage_bound_gate():
     if applicable and trace.ell is not None:
         final_n = trace.iterations[-1].n_t
         assert s.n - final_n < trace.epsilon / (8 * p.k) * s.n
+
+
+# --- every verdict path, pinned ----------------------------------------------------
+
+# One run per path of run_probe that the benchmark's probe pool reaches,
+# plus the floor branch on the empty sequence, each with the oracle and
+# without it. The expected verdicts and JSON-lines traces were written by
+# the code before run_probe was restructured, so they pin its output.
+PINNED_PATHS = json.loads((Path(__file__).parent / "probe_paths.json").read_text())
+
+
+@pytest.mark.parametrize("case", PINNED_PATHS, ids=[c["path"] for c in PINNED_PATHS])
+@pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "no_oracle"])
+def test_verdict_paths_are_pinned(case, oracle):
+    cfg = ProbeConfig(f_override=case["f"], oracle_fallback=oracle)
+    verdict, trace = run_probe(seq(case["sequence"]), graph_from_text(case["graph"]), cfg)
+    expected = case["oracle" if oracle else "noOracle"]
+    assert verdict.to_json_dict() == expected["verdict"]
+    assert trace.to_json_lines() == [json.dumps(record) for record in expected["trace"]]

@@ -6,7 +6,7 @@ from potnum.generators import parse_graph_expr
 from potnum.graphs import complete_graph, path_graph
 from potnum.oracle import Realization, canonical_realization, potentially
 from potnum.potential import profile
-from potnum.probe import ProbeConfig, ProbeTrace
+from potnum.probe import ProbeConfig, ProbeTrace, run_probe
 from potnum.sequences import parse_sequence
 from potnum.stability import classify_sigma
 
@@ -29,6 +29,7 @@ def test_frozen_records_refuse_assignment():
         (profile(k3), "sigma_tilde"),  # potential
         (classify_sigma(k3), "status"),  # stability
         (ProbeConfig(), "epsilon"),  # probe
+        (run_probe(parse_sequence("7,1^7"), k3, ProbeConfig(f_override=4))[1].iterations[0], "t"),
     ]
     for record, field in records:
         with pytest.raises(AttributeError):
