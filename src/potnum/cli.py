@@ -30,7 +30,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CAP = 2
 EXIT_INTERNAL = 3
-MAX_EXPONENT = 1000  # for --epsilon and --delta; the trace prints them exactly
+# Bounds on the text of --epsilon and --delta: Fraction builds 10**exponent
+# before any range check, and the trace prints the exact value, which Python
+# refuses for an integer of more than 4,300 digits.
+MAX_EXPONENT = 1000
+MAX_DIGITS = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,8 +113,9 @@ def _int_params(params: List[str]) -> List[int]:
 
 
 def _fraction(text: str) -> Fraction:
-    # Fraction builds 10**exponent exactly before any range check, so a
-    # huge exponent (either sign) would not return
+    digits = sum(map(str.isdigit, text))
+    if digits > MAX_DIGITS:
+        raise ValueError(f"number with {digits} digits exceeds {MAX_DIGITS} digits")
     exponent = re.search(r"[eE]([-+]?\d[\d_]*)\s*$", text)
     if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
         raise ValueError(f"exponent in {text!r} exceeds {MAX_EXPONENT}")

@@ -105,51 +105,49 @@ def _tokenize(text: str) -> List[_Token]:
 
 def parse_graph_expr(text: str) -> GraphExpr:
     """Parse an expression into an AST, validating arity and argument size."""
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek() -> _Token:
-        if pos >= len(tokens):
-            raise ExprError("unexpected end of input", len(text))
-        return tokens[pos]
-
-    def take(kind: str) -> _Token:
-        nonlocal pos
-        tok = peek()
-        if tok.kind != kind:
-            raise ExprError(f"expected {kind!r}, found {tok.text!r}", tok.pos)
-        pos += 1
-        return tok
-
-    def parse_int() -> int:
-        tok = take("int")
-        value = int(tok.text)
-        if value > MAX_INT_ARG:
-            raise ExprError(f"integer argument {value} too large", tok.pos)
-        return value
-
-    def parse_expr(depth: int) -> GraphExpr:
-        tok = take("name")
-        if tok.text in GENERATORS:
-            args = tuple(parse_int() for _ in range(GENERATORS[tok.text][0]))
-            return Gen(tok.text, args)
-        if tok.text in CALLS:
-            if depth == MAX_DEPTH:
-                raise ExprError(f"calls nested deeper than {MAX_DEPTH}", tok.pos)
-            take("(")
-            operands = [parse_expr(depth + 1)]
-            for _ in range(CALLS[tok.text][0] - 1):
-                take(",")
-                operands.append(parse_expr(depth + 1))
-            take(")")
-            return Call(tok.text, tuple(operands))
-        raise ExprError(f"unknown generator {tok.text!r}", tok.pos)
-
-    expr = parse_expr(0)
-    if pos != len(tokens):
-        tok = tokens[pos]
+    tokens = _tokenize(text)[::-1]  # a stack, the next token on top
+    expr = _parse_expr(tokens, len(text), 0)
+    if tokens:
+        tok = tokens[-1]
         raise ExprError(f"trailing input {tok.text!r}", tok.pos)
     return expr
+
+
+def _take(tokens: List[_Token], kind: str, end: int) -> _Token:
+    """Pop the next token, which must be of ``kind``; ``end`` is the
+    position reported when the input runs out."""
+    if not tokens:
+        raise ExprError("unexpected end of input", end)
+    tok = tokens.pop()
+    if tok.kind != kind:
+        raise ExprError(f"expected {kind!r}, found {tok.text!r}", tok.pos)
+    return tok
+
+
+def _parse_int(tokens: List[_Token], end: int) -> int:
+    tok = _take(tokens, "int", end)
+    value = int(tok.text)
+    if value > MAX_INT_ARG:
+        raise ExprError(f"integer argument {value} too large", tok.pos)
+    return value
+
+
+def _parse_expr(tokens: List[_Token], end: int, depth: int) -> GraphExpr:
+    tok = _take(tokens, "name", end)
+    if tok.text in GENERATORS:
+        args = tuple(_parse_int(tokens, end) for _ in range(GENERATORS[tok.text][0]))
+        return Gen(tok.text, args)
+    if tok.text in CALLS:
+        if depth == MAX_DEPTH:
+            raise ExprError(f"calls nested deeper than {MAX_DEPTH}", tok.pos)
+        _take(tokens, "(", end)
+        operands = [_parse_expr(tokens, end, depth + 1)]
+        for _ in range(CALLS[tok.text][0] - 1):
+            _take(tokens, ",", end)
+            operands.append(_parse_expr(tokens, end, depth + 1))
+        _take(tokens, ")", end)
+        return Call(tok.text, tuple(operands))
+    raise ExprError(f"unknown generator {tok.text!r}", tok.pos)
 
 
 def _entry(expr: GraphExpr) -> tuple:

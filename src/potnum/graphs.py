@@ -184,25 +184,20 @@ def complement(g: SmallGraph) -> SmallGraph:
 @lru_cache(maxsize=1 << 12)
 def independence_number(g: SmallGraph) -> int:
     """Exact maximum independent set size by branch and bound."""
-    if g.k == 0:
-        return 0
-    adj = g.adj
-    best = 0
+    return _grow(g.adj, (1 << g.k) - 1, 0, 0)
 
-    def grow(avail: int, size: int) -> None:
-        nonlocal best
-        if size + avail.bit_count() <= best:
-            return
-        if not avail:
-            best = max(best, size)
-            return
-        # branch on a vertex of maximum degree within the candidate set
-        v = max(_bits(avail), key=lambda u: (adj[u] & avail).bit_count())
-        grow(avail & ~(adj[v] | (1 << v)), size + 1)
-        grow(avail & ~(1 << v), size)
 
-    grow((1 << g.k) - 1, 0)
-    return best
+def _grow(adj: Sequence[int], avail: int, size: int, best: int) -> int:
+    """The larger of ``best`` and the largest independent set that adds
+    vertices of ``avail`` to ``size`` already chosen."""
+    if size + avail.bit_count() <= best:
+        return best
+    if not avail:
+        return size
+    # branch on a vertex of maximum degree within the candidate set
+    v = max(_bits(avail), key=lambda u: (adj[u] & avail).bit_count())
+    best = _grow(adj, avail & ~(adj[v] | (1 << v)), size + 1, best)
+    return _grow(adj, avail & ~(1 << v), size, best)
 
 
 def _bits(mask: int) -> Iterator[int]:

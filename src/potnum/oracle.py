@@ -16,10 +16,13 @@ sequence. It tries these rules in order:
 * dominating heads (d1 = n-1) are stripped recursively, trading H for its
   one-vertex-deleted family, which keeps near-extremal sequences cheap;
 * the Havel–Hakimi fast path: H embeds in the canonical realization;
-* otherwise every degree-class-distinct k-subset of positions hosts every
-  automorphism-distinct copy of H, and the leftover demands are realized
-  by backtracking edge assignment avoiding the placed copy, pruned by
-  Erdős–Gallai feasibility at each level.
+* otherwise the full placement search: every automorphism-distinct copy
+  of H is placed on every degree-distinct k-subset of positions, and the
+  leftover demands are realized by backtracking edge assignment avoiding
+  the placed copy, pruned by Erdős–Gallai feasibility at each level. One
+  enumerator, ``_prefix_choices``, gives both the position subsets (a
+  prefix of each run of equal degree) and each pivot's partner sets (a
+  prefix of each class of interchangeable partners).
 
 A true answer comes back as a witness builder, a callable that produces
 the embedding and the realization only when a certificate is wanted. A
@@ -33,7 +36,7 @@ order cap, k <= 8, is fixed. Exceeding either raises, never truncates.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import groupby, permutations
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .graphs import MAX_VERTICES, CapExceededError, SmallGraph, find_embedding, is_isomorphic
@@ -181,71 +184,66 @@ def _sorted_degrees(h: SmallGraph) -> Tuple[int, ...]:
 # Residual realizability: demands + forbidden pairs
 
 
+def _prefix_choices(
+    groups: List[List[int]], idx: int, need: int, left: int, acc: List[int]
+) -> Iterator[List[int]]:
+    """Every set of ``need`` members that takes a prefix of each group from
+    ``idx`` on, larger counts first; ``left`` counts the members of those
+    groups. Gives both the position subsets of the full search and the
+    partner sets of the residual solver."""
+    if need == 0:
+        yield acc
+        return
+    if left < need:
+        return
+    group = groups[idx]
+    left -= len(group)
+    for take in range(min(len(group), need), -1, -1):
+        yield from _prefix_choices(groups, idx + 1, need - take, left, acc + group[:take])
+
+
 def _solve_residual(demands: List[int], forb: Sequence[int]) -> Optional[List[Tuple[int, int]]]:
-    """Edge set realizing ``demands`` while avoiding forbidden pairs.
+    """Edge set realizing ``demands`` while avoiding forbidden pairs, or
+    None, with ``demands`` as they were, if there is none.
 
     Pivot on the vertex of maximum remaining demand; candidate partners
     collapse into interchangeability classes (equal demand, equal
-    forbidden-partner set among active vertices), and only class counts
-    are branched on. Erdős–Gallai feasibility prunes each node.
+    forbidden-partner set among active vertices), and ``_prefix_choices``
+    branches on class counts only. Erdős–Gallai feasibility prunes each
+    node.
     """
     n = len(demands)
-    edges: List[Tuple[int, int]] = []
-
-    def rec() -> bool:
-        u = -1
-        du = 0
-        for i in range(n):
-            if demands[i] > du:
-                u, du = i, demands[i]
-        if du == 0:
-            return True
-        active_mask = 0
-        for v in range(n):
-            if demands[v] > 0:
-                active_mask |= 1 << v
-        cands = [
-            v for v in range(n)
-            if v != u and demands[v] > 0 and not (forb[u] >> v) & 1
-        ]
-        if len(cands) < du:
-            return False
-        classes: Dict[Tuple[int, int], List[int]] = {}
-        for v in cands:
-            classes.setdefault((demands[v], forb[v] & active_mask), []).append(v)
-        items = sorted(classes.items(), key=lambda kv: -kv[0][0])
-        members = [m for _, m in items]
-        suffix_cap = [0] * (len(members) + 1)
-        for i in range(len(members) - 1, -1, -1):
-            suffix_cap[i] = suffix_cap[i + 1] + len(members[i])
-
-        def choose(ci: int, remaining: int, chosen: List[int]) -> bool:
-            if remaining == 0:
-                demands[u] = 0
-                for v in chosen:
-                    demands[v] -= 1
-                if _graphic_desc(tuple(sorted(demands, reverse=True))) and rec():
-                    edges.extend((u, v) for v in chosen)
-                    return True
-                for v in chosen:
-                    demands[v] += 1
-                demands[u] = du
-                return False
-            if ci == len(members) or suffix_cap[ci] < remaining:
-                return False
-            group = members[ci]
-            for take in range(min(len(group), remaining), -1, -1):
-                if choose(ci + 1, remaining - take, chosen + group[:take]):
-                    return True
-            return False
-
-        found = choose(0, du, [])
-        del choose  # each closure holds itself through its cell; break the cycle
-        return found
-
-    found = rec()
-    del rec
-    return edges if found else None
+    du = max(demands, default=0)
+    if du == 0:
+        return []
+    u = demands.index(du)
+    active_mask = 0
+    for v in range(n):
+        if demands[v] > 0:
+            active_mask |= 1 << v
+    cands = [
+        v for v in range(n)
+        if v != u and demands[v] > 0 and not (forb[u] >> v) & 1
+    ]
+    if len(cands) < du:
+        return None
+    classes: Dict[Tuple[int, int], List[int]] = {}
+    for v in cands:
+        classes.setdefault((demands[v], forb[v] & active_mask), []).append(v)
+    groups = [m for _, m in sorted(classes.items(), key=lambda kv: -kv[0][0])]
+    demands[u] = 0
+    for chosen in _prefix_choices(groups, 0, du, len(cands), []):
+        for v in chosen:
+            demands[v] -= 1
+        if _graphic_desc(tuple(sorted(demands, reverse=True))):
+            edges = _solve_residual(demands, forb)
+            if edges is not None:
+                edges.extend((u, v) for v in chosen)
+                return edges
+        for v in chosen:
+            demands[v] += 1
+    demands[u] = du
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -272,25 +270,10 @@ _Decision = Union[_Witness, Refutation]
 _DEGREE_REFUTATION = Refutation("degree")
 
 
-def _run_subsets(
-    runs: List[Tuple[int, int]], run_idx: int, need: int, acc: List[int]
-) -> Iterator[List[int]]:
-    """Position sets of size ``need`` that take a prefix of each run of
-    equal degree from ``run_idx`` on, one per choice of counts."""
-    if need == 0:
-        yield acc
-        return
-    if run_idx == len(runs):
-        return
-    start, count = runs[run_idx]
-    if sum(c for _, c in runs[run_idx:]) < need:
-        return
-    for take in range(min(count, need), -1, -1):
-        yield from _run_subsets(runs, run_idx + 1, need - take, acc + list(range(start, start + take)))
-
-
 def _full_search(terms: Tuple[int, ...], h: SmallGraph) -> _Decision:
-    """Search all degree-distinct position subsets and all copies of h.
+    """Place every copy of h on every position subset that takes a
+    prefix of each run of equal degree, as ``_prefix_choices`` gives them,
+    and solve the residual demands around it.
 
     Returns a witness builder or a ``full_search`` refutation with its
     counts of subsets, patterns and residual calls. Complete on its own:
@@ -301,18 +284,10 @@ def _full_search(terms: Tuple[int, ...], h: SmallGraph) -> _Decision:
     hdegs = _sorted_degrees(h)
     copies = _distinct_copies(h)
 
-    # contiguous runs of equal degree
-    runs: List[Tuple[int, int]] = []  # (start, count)
-    i = 0
-    while i < n:
-        j = i
-        while j < n and terms[j] == terms[i]:
-            j += 1
-        runs.append((i, j - i))
-        i = j
-
+    # the positions, in runs of equal degree
+    groups = [list(run) for _, run in groupby(range(n), terms.__getitem__)]
     subset_count = pattern_count = residual_calls = 0
-    for positions in _run_subsets(runs, 0, k, []):
+    for positions in _prefix_choices(groups, 0, k, n, []):
         subset_count += 1
         if any(terms[p] < hdegs[idx] for idx, p in enumerate(positions)):
             continue
@@ -464,12 +439,17 @@ def enumerate_graphic_sequences(
     else:
         totals = list(range(n * (n - 1), -1, -2))
     for s in totals:
-        for terms in _graphic_of_sum(n, s, k or 0):
+        for terms in _extend_prefix([0] * n, n, s, k or 0, 0, 0, max(n - 1, 0)):
             yield DegreeSequence(terms)
 
 
-def _graphic_of_sum(n: int, total: int, k: int) -> Iterator[Tuple[int, ...]]:
-    """Depth-first over nonincreasing prefixes d1..dq, largest term first.
+def _extend_prefix(
+    terms: List[int], n: int, total: int, k: int, q: int, placed: int, bound: int
+) -> Iterator[Tuple[int, ...]]:
+    """Depth-first over nonincreasing prefixes d1..dq, largest term first:
+    the graphic sequences of sum ``total`` below the prefix ``terms[:q]``
+    of sum ``placed``, whose next term is at most ``bound``. Writes term q
+    of ``terms`` in place.
 
     A prefix is dropped when its sum exceeds q(q-1) + min(r, (n-q) min(q, dq)),
     r being the sum still to place: no completion then meets the
@@ -478,15 +458,6 @@ def _graphic_of_sum(n: int, total: int, k: int) -> Iterator[Tuple[int, ...]]:
     it passes for every completion and is dropped too. Each leaf gets the
     exact Erdős–Gallai test.
     """
-    return _extend_prefix([0] * n, n, total, k, 0, 0, max(n - 1, 0))
-
-
-def _extend_prefix(
-    terms: List[int], n: int, total: int, k: int, q: int, placed: int, bound: int
-) -> Iterator[Tuple[int, ...]]:
-    """The leaves of ``_graphic_of_sum`` below the prefix ``terms[:q]`` of
-    sum ``placed``, whose next term is at most ``bound``. Writes term q of
-    ``terms`` in place."""
     r = total - placed
     slots = n - q
     if slots == 0:

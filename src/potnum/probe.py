@@ -202,7 +202,7 @@ class ProbeTrace:
             "total": init + step2 + step3 + step4,
         }
 
-    def shrinkage_bound_applicable(self, k: int, alpha: int) -> bool:
+    def shrinkage_bound_applicable(self, k: int) -> bool:
         """Whether the run's constants justify asserting the asymptotic
         shrinkage bound n - n_ell < (epsilon / 8k) n."""
         if 1 - k * self.delta <= 0:

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import potnum
-from potnum.cli import main
+from potnum.cli import MAX_DIGITS, main
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +136,13 @@ def test_exit_code_parse_error(capsys, tmp_path):
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1 and err.startswith("error:"), argv
+    # Fraction accepts these, but Python refuses to print an integer of
+    # more than 4,300 digits; the message names potnum's own bound instead
+    for flag in ("--epsilon", "--delta"):
+        for value in ("0." + "0" * 5000 + "1", "1" * 5000 + "/7"):
+            code, _, err = run_cli(capsys, "probe", "9,3^9", "split 2 3", flag, value)
+            assert code == 1 and err.startswith("error:"), (flag, value[:8])
+            assert f"exceeds {MAX_DIGITS} digits" in err, (flag, value[:8])
     # Fraction would build 10**999999999 before any range check; these run
     # in a subprocess so that a hang fails the test instead of stalling it
     code = "import sys; sys.path.insert(0, sys.argv[1]); from potnum.cli import main; sys.exit(main(sys.argv[2:]))"

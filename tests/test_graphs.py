@@ -6,6 +6,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from potnum.generators import ExprError, graph_from_text
 from potnum.graphs import (
     SmallGraph,
     complement,
@@ -187,16 +188,28 @@ def test_find_embedding_carries_edges():
 
 
 def test_find_embedding_leaves_no_cyclic_garbage():
-    # the recursive closure is released when the call returns, so the
-    # search makes no work for the cycle collector
+    # the recursive closure is released when the call returns, and the
+    # independent-set search and the expression parser are module
+    # functions, so none of them makes work for the cycle collector, even
+    # when the parser raises
     assert find_embedding(cycle_graph(5), complete_graph(7)) is not None
     assert find_embedding(complete_graph(4), cycle_graph(7)) is None
+    assert independence_number(cycle_graph(7)) == 3
+    assert graph_from_text("join(K 2, complement(C 5))").k == 7
+    with pytest.raises(ExprError):
+        graph_from_text("join(K 2, C)")
     gc.collect()
     gc.disable()
     try:
         for _ in range(100):
             find_embedding(cycle_graph(5), complete_graph(7))
             find_embedding(complete_graph(4), cycle_graph(7))
+            independence_number(cycle_graph(7))
+            graph_from_text("join(K 2, complement(C 5))")
+            try:
+                graph_from_text("join(K 2, C)")
+            except ExprError:
+                pass
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -7,6 +7,7 @@ regular obstructions beat the clique formula at these lengths.
 """
 
 import gc
+import hashlib
 import random
 import sys
 import threading
@@ -23,6 +24,7 @@ from potnum.graphs import (
     complete_split,
     cycle_graph,
     double_star,
+    find_embedding,
     is_isomorphic,
     join,
     path_graph,
@@ -82,10 +84,9 @@ def test_canonical_realization_rejects_non_graphic():
 
 
 def test_solve_residual_leaves_no_cyclic_garbage():
-    # the recursive closures are released when the call returns, and the
-    # recursive generators are module functions, so no search makes work
-    # for the cycle collector, even when a witness or an abandoned scan
-    # stops it early
+    # the recursive solver and the recursive generators are module
+    # functions, so no search makes work for the cycle collector, even
+    # when a witness or an abandoned scan stops it early
     feasible, infeasible = ([3, 3, 2, 2, 2, 2], [0] * 6), ([1, 1], [0b10, 0b01])
     assert oracle._solve_residual(*feasible) is not None
     assert oracle._solve_residual(*infeasible) is None
@@ -93,7 +94,8 @@ def test_solve_residual_leaves_no_cyclic_garbage():
     witnessed, refuted = (4, 3, 3, 2, 2, 2), (7, 1, 1, 1, 1, 1, 1, 1)
     assert oracle._full_search(witnessed, k3)
     assert not oracle._full_search(refuted, k3)
-    assert len(list(oracle._graphic_of_sum(7, 10, 3))) == 6
+    scan = lambda: oracle._extend_prefix([0] * 7, 7, 10, 3, 0, 0, 6)
+    assert len(list(scan())) == 6
     gc.collect()
     gc.disable()
     try:
@@ -102,11 +104,46 @@ def test_solve_residual_leaves_no_cyclic_garbage():
             oracle._solve_residual(list(infeasible[0]), infeasible[1])
             oracle._full_search(witnessed, k3)
             oracle._full_search(refuted, k3)
-            list(oracle._graphic_of_sum(7, 10, 3))
-            next(oracle._graphic_of_sum(7, 10, 3))
+            list(scan())
+            next(scan())
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_full_search_pinned_on_every_pair_that_reaches_it():
+    # every (sequence, pattern) pair with n <= 9 that the decision sends to
+    # the full placement search: past the degree pre-check, no dominating
+    # head, and no copy in the canonical realization. The digest covers each
+    # witness's embedding (key order included) and edge list and each
+    # refutation's counters; it was written by the search before its
+    # enumeration was folded into one generator.
+    digest = hashlib.sha256()
+    witnessed = refuted = 0
+    patterns = [p for p in corpus_patterns() if p.edge_count()]
+    for n in range(1, 10):
+        for s in enumerate_graphic_sequences(n):
+            terms = s.terms
+            graph = None
+            for p in patterns:
+                if p.k > n or terms[0] == n - 1:
+                    continue
+                hdegs = sorted(p.degrees(), reverse=True)
+                if any(terms[i] < hdegs[i] for i in range(p.k)):
+                    continue
+                graph = graph or canonical_realization(s).graph
+                if find_embedding(p, graph) is not None:
+                    continue
+                found = oracle._full_search(terms, p)
+                if found:
+                    emb, real = found()
+                    digest.update(repr((terms, list(emb.items()), real.graph.edges())).encode())
+                    witnessed += 1
+                else:
+                    digest.update(repr((terms, tuple(found))).encode())
+                    refuted += 1
+    assert (witnessed, refuted) == (1698, 451)
+    assert digest.hexdigest() == "673170589d775b37d0c23896938a065530c028a9c7b5ebc8eedeb8451d001cd3"
 
 
 # --- potentially ------------------------------------------------------------

@@ -185,7 +185,7 @@ def test_shrinkage_bound_gate():
     h = complete_split(2, 3)
     _, trace = run_probe(s, h, ProbeConfig(f_override=3))
     p = profile(h)
-    applicable = trace.shrinkage_bound_applicable(p.k, p.alpha)
+    applicable = trace.shrinkage_bound_applicable(p.k)
     assert not applicable
     if applicable and trace.ell is not None:
         final_n = trace.iterations[-1].n_t
