@@ -23,18 +23,17 @@ from .graphs import SmallGraph, parse_graph_file
 from .oracle import DEFAULT_CAP_N, CapExceededError, potentially, sigma_exact
 from .potential import profile, rho, target_family, target_sequence
 from .probe import ProbeConfig, run_probe
-from .sequences import MAX_INT_ARG, l1_distance, parse_sequence
+from .sequences import MAX_DIGITS, MAX_INT_ARG, _check_digits, l1_distance, parse_sequence
 from .stability import classify_sigma, classify_weak
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CAP = 2
 EXIT_INTERNAL = 3
-# Bounds on the text of --epsilon and --delta: Fraction builds 10**exponent
-# before any range check, and the trace prints the exact value, which Python
-# refuses for an integer of more than 4,300 digits.
+# A bound on the exponent in --epsilon and --delta: Fraction builds
+# 10**exponent before any range check. Their digits are bounded by
+# MAX_DIGITS, since the trace prints the exact value.
 MAX_EXPONENT = 1000
-MAX_DIGITS = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,7 +104,7 @@ def cmd_analyze(args) -> int:
 
 def _int_params(params: List[str]) -> List[int]:
     # each builder makes a sequence of the requested length, term by term
-    values = [int(p) for p in params]
+    values = [int(_check_digits(p)) for p in params]
     for v in values:
         if v > MAX_INT_ARG:
             raise ValueError(f"argument {v} exceeds {MAX_INT_ARG}")
@@ -113,9 +112,7 @@ def _int_params(params: List[str]) -> List[int]:
 
 
 def _fraction(text: str) -> Fraction:
-    digits = sum(map(str.isdigit, text))
-    if digits > MAX_DIGITS:
-        raise ValueError(f"number with {digits} digits exceeds {MAX_DIGITS} digits")
+    _check_digits(text)
     exponent = re.search(r"[eE]([-+]?\d[\d_]*)\s*$", text)
     if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
         raise ValueError(f"exponent in {text!r} exceeds {MAX_EXPONENT}")

@@ -20,7 +20,7 @@ from typing import List, NamedTuple, Tuple, Union
 
 from . import graphs
 from .graphs import CapExceededError, SmallGraph
-from .sequences import MAX_INT_ARG
+from .sequences import MAX_DIGITS, MAX_INT_ARG
 
 # name -> (arity, order of the graph from the arguments, constructor)
 GENERATORS = {
@@ -126,6 +126,11 @@ def _take(tokens: List[_Token], kind: str, end: int) -> _Token:
 
 def _parse_int(tokens: List[_Token], end: int) -> int:
     tok = _take(tokens, "int", end)
+    # the token is a run of digits
+    if len(tok.text) > MAX_DIGITS:
+        raise ExprError(
+            f"integer argument of {len(tok.text)} digits exceeds {MAX_DIGITS} digits", tok.pos
+        )
     value = int(tok.text)
     if value > MAX_INT_ARG:
         raise ExprError(f"integer argument {value} too large", tok.pos)

@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .sequences import DegreeSequence
+from .sequences import DegreeSequence, _check_digits
 
 MAX_VERTICES = 16
 
@@ -230,22 +230,18 @@ def nabla(h: SmallGraph, i: int) -> int:
     return best
 
 
-def deleted_family(h: SmallGraph, t: int, dedup: bool = False) -> Iterator[SmallGraph]:
-    """Induced subgraphs obtained by deleting exactly t vertices.
-
-    With ``dedup`` one representative per isomorphism class is yielded;
-    by default every labeled (k-t)-subset produces a graph.
-    """
-    if not 0 <= t < h.k:
-        raise ValueError(f"deletion count {t} out of range 0..{h.k - 1}")
+def deleted_family(h: SmallGraph, t: int) -> Iterator[Tuple[SmallGraph, Tuple[int, ...]]]:
+    """Induced subgraphs obtained by deleting exactly t vertices, one per
+    isomorphism class: (subgraph, deleted vertices), trying the deletion
+    sets in lexicographic order, so t = 1 deletes vertex 0 first."""
+    if not 0 <= t <= h.k:
+        raise ValueError(f"deletion count {t} out of range 0..{h.k}")
     seen: List[SmallGraph] = []
-    for subset in combinations(range(h.k), h.k - t):
-        sub = h.induced(subset)
-        if dedup:
-            if any(is_isomorphic(sub, other) for other in seen):
-                continue
+    for deleted in combinations(range(h.k), t):
+        sub = h.induced([u for u in range(h.k) if u not in deleted])
+        if not any(is_isomorphic(sub, other) for other in seen):
             seen.append(sub)
-        yield sub
+            yield sub, deleted
 
 
 def one_edge_set_exists(h: SmallGraph, size: int) -> bool:
@@ -298,34 +294,34 @@ def find_embedding(pattern: SmallGraph, host: SmallGraph) -> Optional[Dict[int, 
         return None
     plan = _embedding_plan(pattern)
     hadj = host.adj
-    hdeg = [m.bit_count() for m in hadj]
-    free = (1 << host.k) - 1
     image = [0] * pattern.k
-    last = len(plan)
-
-    def place(depth: int, used: int) -> bool:
-        if depth == last:
-            return True
-        u, du, placed_nbs = plan[depth]
-        cand = free & ~used
-        for nb in placed_nbs:
-            cand &= hadj[image[nb]]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            w = low.bit_length() - 1
-            if hdeg[w] < du:
-                continue
-            image[u] = w
-            if place(depth + 1, used | low):
-                return True
-        return False
-
-    found = place(0, 0)
-    del place  # the closure holds itself through its cell; break the cycle
-    if not found:
+    if not _place(plan, 0, (1 << host.k) - 1, hadj, [m.bit_count() for m in hadj], image):
         return None
     return {u: image[u] for u, _, _ in plan}
+
+
+def _place(
+    plan: Sequence[Tuple[int, int, Tuple[int, ...]]], depth: int, free: int,
+    hadj: Sequence[int], hdeg: Sequence[int], image: List[int],
+) -> bool:
+    """Place the plan's steps from ``depth`` on, on the host vertices in
+    ``free``, writing each pattern vertex's host vertex into ``image``."""
+    if depth == len(plan):
+        return True
+    u, du, placed_nbs = plan[depth]
+    cand = free
+    for nb in placed_nbs:
+        cand &= hadj[image[nb]]
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        w = low.bit_length() - 1
+        if hdeg[w] < du:
+            continue
+        image[u] = w
+        if _place(plan, depth + 1, free ^ low, hadj, hdeg, image):
+            return True
+    return False
 
 
 def spanning_subgraph_of(h: SmallGraph, host: SmallGraph) -> bool:
@@ -363,13 +359,13 @@ def parse_graph_file(text: str) -> SmallGraph:
                 raise ValueError(f"line {lineno}: duplicate vertex-count line")
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'n <k>'")
-            k = int(parts[1])
+            k = int(_check_digits(parts[1]))
         elif parts[0] == "e":
             if k is None:
                 raise ValueError(f"line {lineno}: edge before vertex count")
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'e <u> <v>'")
-            u, v = int(parts[1]), int(parts[2])
+            u, v = (int(_check_digits(p)) for p in parts[1:])
             if not (1 <= u <= k and 1 <= v <= k):
                 raise ValueError(f"line {lineno}: vertex out of range 1..{k}")
             edges.append((u - 1, v - 1))

@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import groupby, permutations
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .graphs import MAX_VERTICES, CapExceededError, SmallGraph, find_embedding, is_isomorphic
+from .graphs import MAX_VERTICES, CapExceededError, SmallGraph, deleted_family, find_embedding
 from .sequences import DegreeSequence, _graphic_desc, is_graphic
 
 DEFAULT_CAP_N = 10
@@ -135,21 +135,10 @@ def canonical_realization(seq: DegreeSequence) -> Realization:
 
 
 @lru_cache(maxsize=1 << 12)
-def _d1_classes(h: SmallGraph) -> Tuple[Tuple[SmallGraph, int, Tuple[int, ...]], ...]:
-    """One-vertex-deleted subgraphs up to isomorphism.
-
-    Each entry is (subgraph, deleted vertex, vertex map): position u of the
-    map gives the subgraph vertex hosting h's vertex u (deleted vertex
-    maps to -1).
-    """
-    out = []
-    for v in range(h.k):
-        sub = h.induced([u for u in range(h.k) if u != v])
-        if any(is_isomorphic(sub, kept) for kept, _, _ in out):
-            continue
-        vmap = tuple(-1 if u == v else (u if u < v else u - 1) for u in range(h.k))
-        out.append((sub, v, vmap))
-    return tuple(out)
+def _d1_classes(h: SmallGraph) -> Tuple[Tuple[SmallGraph, int], ...]:
+    """One-vertex-deleted subgraphs up to isomorphism: (subgraph, deleted
+    vertex), as ``deleted_family`` gives them."""
+    return tuple((sub, v) for sub, (v,) in deleted_family(h, 1))
 
 
 @lru_cache(maxsize=1 << 12)
@@ -343,7 +332,7 @@ def _decide(terms: Tuple[int, ...], h: SmallGraph) -> _Decision:
     if terms[0] == n - 1:
         lay = tuple(t - 1 for t in terms[1:])
         refuted = []
-        for sub, deleted, vmap in _d1_classes(h):
+        for sub, deleted in _d1_classes(h):
             found = _decide(lay, sub)
             if not found:
                 refuted.append(found)
@@ -354,7 +343,7 @@ def _decide(terms: Tuple[int, ...], h: SmallGraph) -> _Decision:
                 edges = [(0, j + 1) for j in range(n - 1)]
                 edges += [(u + 1, v + 1) for u, v in sub_real.graph.edges()]
                 real = Realization(graph=SmallGraph(n, edges), sequence=DegreeSequence(terms))
-                return {u: 0 if u == deleted else sub_emb[vmap[u]] + 1 for u in range(k)}, real
+                return {u: 0 if u == deleted else sub_emb[u - (u > deleted)] + 1 for u in range(k)}, real
 
             return lift
         return Refutation("dominating_head", *map(sum, zip(*(r[1:] for r in refuted))))

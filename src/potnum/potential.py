@@ -226,7 +226,7 @@ def best_deleted_subgraph(h: SmallGraph, t: int) -> Tuple[SmallGraph, int]:
         raise ValueError(f"deletion count {t} out of range 0..{prof.k - prof.alpha - 1}")
     best: Optional[SmallGraph] = None
     best_value = None
-    for sub in deleted_family(h, t, dedup=True):
+    for sub, _ in deleted_family(h, t):
         value = profile(sub).sigma_tilde
         if best_value is None or value < best_value:
             best, best_value = sub, value

@@ -27,7 +27,6 @@ from .graphs import (
     complete_split,
     independence_number,
     join,
-    nabla,
 )
 from .oracle import (
     DEFAULT_CAP_K,
@@ -413,7 +412,7 @@ def _iterate(
             ),
         )
     idx = k - ell - p
-    f_graph, f_vertices = _pick_min_maxdeg_subgraph(h, idx)
+    f_graph, f_vertices = _pick_min_maxdeg_subgraph(h, prof, idx)
     trace.final["fSubgraphVertices"] = list(f_vertices)
     host = join(complete_graph(p), f_graph)
     if degree_sufficient(cur, host.degree_sequence()):
@@ -447,21 +446,21 @@ def _join_back(h: SmallGraph, prof: PotentialProfile) -> Tuple[str, SmallGraph]:
     return FOUND_SPLIT, complete_split(prof.k - prof.alpha - 1, prof.alpha + 1)
 
 
-def _pick_min_maxdeg_subgraph(h: SmallGraph, j: int) -> Tuple[SmallGraph, Tuple[int, ...]]:
-    """Order-j induced subgraph attaining the minimum maximum degree.
+def _pick_min_maxdeg_subgraph(h: SmallGraph, prof: PotentialProfile, j: int) -> Tuple[SmallGraph, Tuple[int, ...]]:
+    """Order-j induced subgraph attaining the minimum maximum degree
+    nabla_j of the profile ``prof`` of h.
 
     Prefers a subset containing a maximum independent set of h (detected
     by an unchanged independence number), then the lexicographically first
     attaining subset.
     """
-    target = nabla(h, j)
-    alpha = independence_number(h)
+    target = prof.nabla_table[j]
     fallback = None
     for subset in combinations(range(h.k), j):
         sub = h.induced(subset)
         if sub.max_degree() != target:
             continue
-        if independence_number(sub) == alpha:
+        if independence_number(sub) == prof.alpha:
             return sub, subset
         if fallback is None:
             fallback = (sub, subset)

@@ -13,6 +13,17 @@ from typing import Iterable, Iterator, Tuple
 # The largest integer that text input may ask for: the length of a parsed
 # sequence here, an integer argument of a generator expression there.
 MAX_INT_ARG = 10**6
+# The most digits that integer text may have: Python's int() refuses more
+# than 4,300 with a message of its own, so potnum refuses them first.
+MAX_DIGITS = 1000
+
+
+def _check_digits(text: str) -> str:
+    """``text``, once it is known to hold at most ``MAX_DIGITS`` digits."""
+    digits = sum(map(str.isdigit, text))
+    if digits > MAX_DIGITS:
+        raise ValueError(f"number with {digits} digits exceeds {MAX_DIGITS} digits")
+    return text
 
 
 class DegreeSequence:

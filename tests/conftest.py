@@ -31,7 +31,7 @@ def corpus():
 def corpus_patterns():
     """The corpus graphs and their one-vertex-deleted classes, 17 in all."""
     graphs = corpus().values()
-    return list(dict.fromkeys([*graphs, *(sub for h in graphs for sub, _, _ in _d1_classes(h))]))
+    return list(dict.fromkeys([*graphs, *(sub for h in graphs for sub, _ in _d1_classes(h))]))
 
 
 @lru_cache(maxsize=None)

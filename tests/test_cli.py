@@ -143,6 +143,20 @@ def test_exit_code_parse_error(capsys, tmp_path):
             code, _, err = run_cli(capsys, "probe", "9,3^9", "split 2 3", flag, value)
             assert code == 1 and err.startswith("error:"), (flag, value[:8])
             assert f"exceeds {MAX_DIGITS} digits" in err, (flag, value[:8])
+    # so does int(), for an integer in an expression, a build parameter or
+    # either line of a graph file
+    ones = "1" * 5000
+    (tmp_path / "n.txt").write_text(f"n {ones}\n")
+    (tmp_path / "e.txt").write_text(f"n 3\ne 1 {ones}\n")
+    for argv in (
+        ("analyze", f"K {ones}"),
+        ("build", "K 3", "rho", ones),
+        ("analyze", str(tmp_path / "n.txt")),
+        ("analyze", str(tmp_path / "e.txt")),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and err.startswith("error:"), argv[:2]
+        assert f"exceeds {MAX_DIGITS} digits" in err, argv[:2]
     # Fraction would build 10**999999999 before any range check; these run
     # in a subprocess so that a hang fails the test instead of stalling it
     code = "import sys; sys.path.insert(0, sys.argv[1]); from potnum.cli import main; sys.exit(main(sys.argv[2:]))"

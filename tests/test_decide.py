@@ -41,7 +41,7 @@ def _reference_decide(terms, h):
         return True
     if terms[0] == n - 1:
         lay = tuple(t - 1 for t in terms[1:])
-        return any(_reference_decide(lay, sub) for sub, _, _ in _d1_classes(h))
+        return any(_reference_decide(lay, sub) for sub, _ in _d1_classes(h))
     real = canonical_realization(DegreeSequence(terms))
     if find_embedding(h, real.graph) is not None:
         return True
@@ -55,13 +55,13 @@ def _reference_certify(terms, h):
         return {u: u for u in range(h.k)}, canonical_realization(seq)
     if terms and terms[0] == n - 1:
         lay = tuple(t - 1 for t in terms[1:])
-        for sub, deleted, vmap in _d1_classes(h):
+        for sub, deleted in _d1_classes(h):
             if _reference_decide(lay, sub):
                 sub_emb, sub_real = _reference_certify(lay, sub)
                 edges = [(0, j + 1) for j in range(n - 1)]
                 edges += [(u + 1, v + 1) for u, v in sub_real.graph.edges()]
                 real = Realization(graph=SmallGraph(n, edges), sequence=seq)
-                embedding = {u: 0 if u == deleted else sub_emb[vmap[u]] + 1 for u in range(h.k)}
+                embedding = {u: 0 if u == deleted else sub_emb[u - (u > deleted)] + 1 for u in range(h.k)}
                 return embedding, real
         raise AssertionError("no deleted-subgraph witness")
     real = canonical_realization(seq)

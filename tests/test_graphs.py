@@ -116,7 +116,7 @@ def test_nabla_grows_on_induced_subgraphs():
     for _ in range(40):
         h = _random_graph(rng, rng.randrange(3, 8))
         a_h = independence_number(h)
-        for f in deleted_family(h, 1):
+        for f, _ in deleted_family(h, 1):
             a_f = independence_number(f)
             for j in range(max(a_h, a_f) + 1, f.k + 1):
                 assert nabla(f, j) >= nabla(h, j)
@@ -128,19 +128,18 @@ def test_nabla_grows_on_induced_subgraphs():
 
 
 def test_deleted_family_counts():
-    fam = list(deleted_family(complete_graph(4), 1))
-    assert len(fam) == 4 and all(is_isomorphic(f, complete_graph(3)) for f in fam)
-    fam = list(deleted_family(cycle_graph(5), 1, dedup=True))
-    assert len(fam) == 1 and is_isomorphic(fam[0], path_graph(4))
-    fam = list(deleted_family(path_graph(4), 2, dedup=True))
+    assert list(deleted_family(complete_graph(4), 1)) == [(complete_graph(3), (0,))]
+    fam = list(deleted_family(cycle_graph(5), 1))
+    assert len(fam) == 1 and is_isomorphic(fam[0][0], path_graph(4))
+    fam = list(deleted_family(path_graph(4), 2))
     assert len(fam) == 2
-    edge_counts = sorted(f.edge_count() for f in fam)
+    edge_counts = sorted(f.edge_count() for f, _ in fam)
     assert edge_counts == [0, 1]  # one edge (P2) and two isolated vertices
 
 
 def test_deleted_family_range():
     with pytest.raises(ValueError):
-        list(deleted_family(complete_graph(3), 3))
+        list(deleted_family(complete_graph(3), 4))
 
 
 # --- embeddings ------------------------------------------------------------------
@@ -188,10 +187,9 @@ def test_find_embedding_carries_edges():
 
 
 def test_find_embedding_leaves_no_cyclic_garbage():
-    # the recursive closure is released when the call returns, and the
-    # independent-set search and the expression parser are module
-    # functions, so none of them makes work for the cycle collector, even
-    # when the parser raises
+    # the embedding search, the independent-set search and the expression
+    # parser are module functions, so none of them makes work for the cycle
+    # collector, even when the parser raises
     assert find_embedding(cycle_graph(5), complete_graph(7)) is not None
     assert find_embedding(complete_graph(4), cycle_graph(7)) is None
     assert independence_number(cycle_graph(7)) == 3

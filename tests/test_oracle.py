@@ -23,6 +23,7 @@ from potnum.graphs import (
     complete_graph,
     complete_split,
     cycle_graph,
+    deleted_family,
     double_star,
     find_embedding,
     is_isomorphic,
@@ -500,8 +501,12 @@ def test_potentially_matches_graph_atlas_up_to_n7():
 def test_d1_classes_cover_every_deletion_once_per_class():
     # the dominating-head strip tries one one-vertex-deleted subgraph per
     # isomorphism class; networkx's VF2, behind a degree-sequence filter,
-    # must find every deletion among the representatives and no two of them
-    # isomorphic
+    # must find no two representatives isomorphic and every deletion
+    # isomorphic to one of them, hence to exactly one. Each representative
+    # is the induced subgraph on the vertices its deletion keeps.
+    # deleted_family with two deletions is held to the same on the graphs
+    # with at most 6 vertices, and deleting every vertex leaves only the
+    # empty graph.
     from networkx import Graph, graph_atlas_g, is_isomorphic as nx_isomorphic
 
     def to_nx(g):
@@ -512,18 +517,29 @@ def test_d1_classes_cover_every_deletion_once_per_class():
     def iso(a, b):
         return sorted(d for _, d in a.degree()) == sorted(d for _, d in b.degree()) and nx_isomorphic(a, b)
 
+    def check(h, t, classes):
+        deletions = {
+            d: h.induced([u for u in range(h.k) if u not in d]) for d in combinations(range(h.k), t)
+        }
+        for sub, d in classes:
+            assert sub == deletions[d], (h, d)
+        reps = [to_nx(sub) for sub, _ in classes]
+        assert not any(iso(a, b) for a, b in combinations(reps, 2)), (h, t)
+        rep_deletions = {d for _, d in classes}
+        for d, sub in deletions.items():
+            if d not in rep_deletions:
+                assert any(iso(to_nx(sub), r) for r in reps), (h, d)
+
+    checked = 0
     for g in graph_atlas_g()[1:]:
         k = g.number_of_nodes()
         h = SmallGraph(k, g.edges())
-        deleted = [h.induced([u for u in range(k) if u != v]) for v in range(k)]
-        classes = oracle._d1_classes(h)
-        for sub, v, vmap in classes:
-            assert sub == deleted[v]
-            assert vmap == tuple(-1 if u == v else u - (u > v) for u in range(k))
-        graphs = [to_nx(sub) for sub in deleted]
-        reps = [graphs[v] for _, v, _ in classes]
-        assert not any(iso(a, b) for a, b in combinations(reps, 2)), h
-        assert all(any(d is r or iso(d, r) for r in reps) for d in graphs), h
+        check(h, 1, [(sub, (v,)) for sub, v in oracle._d1_classes(h)])
+        if 2 <= k <= 6:
+            check(h, 2, list(deleted_family(h, 2)))
+            checked += 1
+        assert list(deleted_family(h, k)) == [(SmallGraph(0), tuple(range(k)))]
+    assert checked == 207
 
 
 # --- target sequences are never potentially graphic ------------------------------
