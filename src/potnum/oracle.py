@@ -4,12 +4,17 @@ Exact potentially-H-graphic decisions, canonical realizations, and exact
 potential numbers. A potential number scans the graphic sequences of each
 sum level from a depth-first generator that prunes prefixes by an
 Erdős–Gallai bound and skips every subtree whose first k or 2k terms
-already satisfy the Yin–Li clique condition, so that only sequences that
-could refute are decided.
+already satisfy the Yin–Li clique condition. Each sequence the scan
+keeps is then tested for the split host ``complete_split(k - alpha,
+alpha)``, which contains H, by one residual-graphicity test. The test is
+sound by construction: it places the host's edges itself and asks only
+that the rest be graphic. A sequence that passes has a realization
+containing H and is not decided, so that few sequences that cannot
+refute are decided.
 
-Yin–Li only prunes that scan. It is not a decision rule: it names no
-copy of H, and a true answer must carry one. One recursion decides a
-sequence. It tries these rules in order:
+Yin–Li and the split test only prune that scan. Neither is a decision
+rule: they name no copy of H, and a true answer must carry one. One
+recursion decides a sequence. It tries these rules in order:
 
 * the degree pre-check: the sorted degrees of H must fit under the head
   of the sequence;
@@ -39,7 +44,14 @@ from functools import lru_cache
 from itertools import groupby, permutations
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .graphs import MAX_VERTICES, CapExceededError, SmallGraph, deleted_family, find_embedding
+from .graphs import (
+    MAX_VERTICES,
+    CapExceededError,
+    SmallGraph,
+    deleted_family,
+    find_embedding,
+    independence_number,
+)
 from .sequences import DegreeSequence, _graphic_desc, is_graphic
 
 DEFAULT_CAP_N = 10
@@ -466,6 +478,37 @@ def _extend_prefix(
         yield from _extend_prefix(terms, n, total, k, q1, s, d)
 
 
+def _split_holds(terms: Tuple[int, ...], r: int, s: int) -> bool:
+    """Does ``terms`` (nonincreasing, graphic) have a realization that
+    contains ``complete_split(r, s)``? True only if one is found.
+
+    The clique goes on positions 0..r-1 and is joined to positions
+    r..r+s-1. Each clique vertex in turn lays off its leftover demand,
+    d_i - (r+s-1), onto the largest remaining terms past position r+s,
+    which are re-sorted after each vertex. The answer is the graphicity
+    of what is left on positions r.. (the s terms less r, then the rest).
+
+    Sound by construction: any realization of that residual, plus the
+    clique, join and layoff edges placed here, is a simple realization of
+    ``terms`` that contains the split graph. That it is also exact (J.-H.
+    Yin, Discrete Math. 311 (2011)) is checked against ``_decide``, not
+    assumed.
+    """
+    m = r + s
+    if len(terms) < m or (r and terms[r - 1] < m - 1) or (s and terms[m - 1] < r):
+        return False
+    rest = list(terms[m:])
+    for d in terms[:r]:
+        extra = d - (m - 1)
+        if extra:
+            if extra > len(rest) or rest[extra - 1] == 0:
+                return False
+            for j in range(extra):
+                rest[j] -= 1
+            rest.sort(reverse=True)
+    return _graphic_desc(tuple(sorted([t - r for t in terms[r:m]] + rest, reverse=True)))
+
+
 def sigma_exact(
     h: SmallGraph,
     n: int,
@@ -478,6 +521,11 @@ def sigma_exact(
     Scans sums downward and stops at the first level carrying a
     refutation. At each level it decides every graphic sequence except
     those the Yin–Li clique condition for order k already settles true.
+    Before deciding, ``_split_holds`` settles true every sequence that is
+    potentially ``complete_split(k - alpha, alpha)``-graphic: h lies in
+    that host with a maximum independent set on the independent side, so
+    every realization containing the host contains h. Like Yin–Li, the
+    skip names no copy of h, so it is not a rule of the decision.
     """
     if n > cap_n:
         raise CapExceededError(f"length {n} exceeds cap {cap_n}")
@@ -485,9 +533,12 @@ def sigma_exact(
         raise CapExceededError(f"graph order {h.k} exceeds cap {DEFAULT_CAP_K}")
     if n < h.k:
         raise ValueError(f"length {n} below graph order {h.k}")
+    alpha = independence_number(h)
+    clique = h.k - alpha
     for total in range(n * (n - 1), -1, -2):
         falses = tuple(
-            s for s in enumerate_graphic_sequences(n, total, k=h.k) if not _decide(s.terms, h)
+            s for s in enumerate_graphic_sequences(n, total, k=h.k)
+            if not _split_holds(s.terms, clique, alpha) and not _decide(s.terms, h)
         )
         if falses:
             return SigmaExact(n=n, value=total + 2, extremal_sequences=falses)

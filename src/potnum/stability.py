@@ -9,6 +9,7 @@ in the remaining cell.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .graphs import (
@@ -103,11 +104,13 @@ def double_star_cover(h: SmallGraph) -> Optional[Tuple[int, int]]:
     return None
 
 
+@lru_cache(maxsize=1 << 12)
 def classify_sigma(h: SmallGraph) -> StabilityVerdict:
     """Stability with respect to the potential number.
 
     Never extrapolates beyond the characterization theorems; the Unknown
-    cells name the hypothesis that failed.
+    cells name the hypothesis that failed. Cached, so that ``classify_weak``
+    does not repeat the cover search for a graph already classified.
     """
     prof = profile(h)
     if not prof.is_type2:

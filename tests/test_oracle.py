@@ -38,6 +38,7 @@ from potnum.oracle import (
     sigma_exact,
     yin_li_kk,
     _decide,
+    _split_holds,
 )
 from potnum.sequences import DegreeSequence, is_graphic, layoff, parse_sequence
 
@@ -243,6 +244,17 @@ def test_potentially_split_examples():
     assert not potentially(seq("4,4,1^6"), complete_split(2, 1)).answer
 
 
+def test_split_holds_matches_the_decision_both_ways():
+    # sigma_exact skips every sequence _split_holds accepts, so it must
+    # never accept a sequence the decision refutes; that it misses none
+    # is what makes the skip pay
+    hosts = [(r, m - r, complete_split(r, m - r)) for m in range(7) for r in range(m + 1)]
+    for n in range(9):
+        for s in enumerate_graphic_sequences(n):
+            for r, t, host in hosts:
+                assert _split_holds(s.terms, r, t) == bool(_decide(s.terms, host)), (s, r, t)
+
+
 # --- enumeration -------------------------------------------------------------------
 
 
@@ -365,8 +377,8 @@ def test_sigma_n11_values():
 
 
 def test_sigma_n12_values():
-    # sigma(C6, 12) is 46, measured; it takes several seconds, so it stays
-    # out of this suite
+    c6 = sigma_exact(cycle_graph(6), 12, cap_n=12)
+    assert (c6.value, [s.to_text() for s in c6.extremal_sequences]) == (46, ["11,11,3,3,2^8"])
     k3 = sigma_exact(complete_graph(3), 12, cap_n=12)
     assert (k3.value, len(k3.extremal_sequences)) == (24, 6)
     k23 = sigma_exact(complete_bipartite(2, 3), 12, cap_n=12)

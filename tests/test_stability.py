@@ -2,6 +2,7 @@
 
 import pytest
 
+from potnum import stability
 from potnum.graphs import (
     SmallGraph,
     complete_bipartite,
@@ -72,6 +73,23 @@ def test_classify_unknown_when_cover_ill_posed():
     h = disjoint_union(complete_graph(2), empty_graph(2))
     v = classify_sigma(h)
     assert v.status == "Unknown" and v.theorem is None
+
+
+def test_cover_search_runs_once_per_graph(monkeypatch):
+    # potnum analyze classifies sigma-stability and then weak stability,
+    # which reads the sigma verdict: the cover search must not run twice
+    calls = []
+
+    def counting_cover(h):
+        calls.append(h)
+        return double_star_cover(h)
+
+    monkeypatch.setattr(stability, "double_star_cover", counting_cover)
+    classify_sigma.cache_clear()
+    h = cycle_graph(6)
+    assert classify_sigma(h).status == "NotStable"
+    assert classify_weak(h).status == "NotWeaklyStable"
+    assert calls == [h]
 
 
 def test_classify_rejects_edgeless():
