@@ -1,16 +1,17 @@
 """Ground-truth brute force at desk scale.
 
 Exact potentially-H-graphic decisions, canonical realizations, and exact
-potential numbers. A potential number scans the graphic sequences of each
-sum level from a depth-first generator that prunes prefixes by an
+potential numbers. A potential number scans the sequences of each sum
+level from a depth-first generator that prunes prefixes by an
 Erdős–Gallai bound and skips every subtree whose first k or 2k terms
-already satisfy the Yin–Li clique condition. Each sequence the scan
-keeps is then tested for the split host ``complete_split(k - alpha,
-alpha)``, which contains H, by one residual-graphicity test. The test is
-sound by construction: it places the host's edges itself and asks only
-that the rest be graphic. A sequence that passes has a realization
-containing H and is not decided, so that few sequences that cannot
-refute are decided.
+already satisfy the Yin–Li clique condition. Each leaf of the scan is
+first tested for the split host ``complete_split(k - alpha, alpha)``,
+which contains H, by one residual-graphicity test. The test is sound by
+construction: it places the host's edges itself and asks only that the
+rest be graphic, so a leaf that passes is graphic and has a realization
+containing H. Only a leaf that fails it gets the Erdős–Gallai test, and
+only a graphic leaf that fails it is decided, so that few sequences that
+cannot refute are decided.
 
 Yin–Li and the split test only prune that scan. Neither is a decision
 rule: they name no copy of H, and a true answer must carry one. One
@@ -419,7 +420,7 @@ def yin_li_kk(seq: DegreeSequence, k: int) -> bool:
 
 
 def enumerate_graphic_sequences(
-    n: int, total: Optional[int] = None, *, k: Optional[int] = None
+    n: int, total: Optional[int] = None, *, host: Optional[Tuple[int, int]] = None
 ) -> Iterator[DegreeSequence]:
     """All nonincreasing graphic sequences of length n (terms <= n-1).
 
@@ -427,11 +428,13 @@ def enumerate_graphic_sequences(
     lexicographically decreasing order. Without it, sums descend from
     n(n-1) to 0.
 
-    With a clique order ``k``, the sequences that ``yin_li_kk(s, k)``
-    accepts are left out, in the same order otherwise: every graph of
-    order k is potentially contained in them, so none can refute. Their
-    subtrees are skipped as soon as the first k or 2k terms settle the
-    Yin–Li condition.
+    With a split host ``(r, s)``, the sequences that are potentially
+    ``complete_split(r, s)``-graphic are left out, in the same order
+    otherwise: every graph the host contains is potentially contained in
+    them, so none can refute. Subtrees are skipped as soon as the first
+    r+s or 2(r+s) terms settle the Yin–Li condition for the clique
+    K_{r+s}, which contains the host. Each leaf then meets
+    ``_split_holds`` before its Erdős–Gallai test.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
@@ -440,32 +443,34 @@ def enumerate_graphic_sequences(
     else:
         totals = list(range(n * (n - 1), -1, -2))
     for s in totals:
-        for terms in _extend_prefix([0] * n, n, s, k or 0, 0, 0, max(n - 1, 0)):
+        for terms in _extend_prefix([0] * n, n, s, host, 0, 0, max(n - 1, 0)):
             yield DegreeSequence(terms)
 
 
 def _extend_prefix(
-    terms: List[int], n: int, total: int, k: int, q: int, placed: int, bound: int
+    terms: List[int], n: int, total: int, host: Optional[Tuple[int, int]], q: int, placed: int, bound: int
 ) -> Iterator[Tuple[int, ...]]:
     """Depth-first over nonincreasing prefixes d1..dq, largest term first:
     the graphic sequences of sum ``total`` below the prefix ``terms[:q]``
-    of sum ``placed``, whose next term is at most ``bound``. Writes term q
-    of ``terms`` in place.
+    of sum ``placed``, whose next term is at most ``bound``, less those
+    that hold the split ``host``. Writes term q of ``terms`` in place.
 
     A prefix is dropped when its sum exceeds q(q-1) + min(r, (n-q) min(q, dq)),
     r being the sum still to place: no completion then meets the
-    Erdős–Gallai inequality at q. The Yin–Li condition reads only the
-    first 2k terms, so with k >= 1 a prefix of length k or 2k that passes
-    it passes for every completion and is dropped too. Each leaf gets the
-    exact Erdős–Gallai test.
+    Erdős–Gallai inequality at q. The Yin–Li condition for K_k, k the
+    host's order, reads only the first 2k terms, so a prefix of length k
+    or 2k that passes it passes for every completion and is dropped too.
+    A leaf is dropped when ``_split_holds`` accepts it, which proves it
+    graphic; any other leaf gets the exact Erdős–Gallai test.
     """
     r = total - placed
     slots = n - q
     if slots == 0:
         leaf = tuple(terms)
-        if _graphic_desc(leaf):
+        if not (host and _split_holds(leaf, *host)) and _graphic_desc(leaf):
             yield leaf
         return
+    k = sum(host) if host else 0
     q1 = q + 1
     base = q1 * (q1 - 1)
     for d in range(min(bound, r), -(-r // slots) - 1, -1):
@@ -475,12 +480,13 @@ def _extend_prefix(
         terms[q] = d
         if (q1 == k or q1 == 2 * k) and _yin_li_terms(tuple(terms[:q1]), k):
             continue
-        yield from _extend_prefix(terms, n, total, k, q1, s, d)
+        yield from _extend_prefix(terms, n, total, host, q1, s, d)
 
 
 def _split_holds(terms: Tuple[int, ...], r: int, s: int) -> bool:
-    """Does ``terms`` (nonincreasing, graphic) have a realization that
-    contains ``complete_split(r, s)``? True only if one is found.
+    """Does ``terms`` (nonincreasing, terms >= 0) have a realization that
+    contains ``complete_split(r, s)``? True only if one is found, which
+    also proves ``terms`` graphic.
 
     The clique goes on positions 0..r-1 and is joined to positions
     r..r+s-1. Each clique vertex in turn lays off its leftover demand,
@@ -490,9 +496,10 @@ def _split_holds(terms: Tuple[int, ...], r: int, s: int) -> bool:
 
     Sound by construction: any realization of that residual, plus the
     clique, join and layoff edges placed here, is a simple realization of
-    ``terms`` that contains the split graph. That it is also exact (J.-H.
-    Yin, Discrete Math. 311 (2011)) is checked against ``_decide``, not
-    assumed.
+    ``terms`` that contains the split graph, so the enumerator skips the
+    Erdős–Gallai test of a leaf that passes. That the test is also exact
+    on graphic sequences (J.-H. Yin, Discrete Math. 311 (2011)) is checked
+    against ``_decide``, not assumed.
     """
     m = r + s
     if len(terms) < m or (r and terms[r - 1] < m - 1) or (s and terms[m - 1] < r):
@@ -519,10 +526,11 @@ def sigma_exact(
     h-graphic; also returns every maximizing non-potential sequence.
 
     Scans sums downward and stops at the first level carrying a
-    refutation. At each level it decides every graphic sequence except
-    those the Yin–Li clique condition for order k already settles true.
-    Before deciding, ``_split_holds`` settles true every sequence that is
-    potentially ``complete_split(k - alpha, alpha)``-graphic: h lies in
+    refutation. At each level it decides the graphic sequences that the
+    enumerator keeps for the split host ``complete_split(k - alpha,
+    alpha)``: it leaves out every sequence that is potentially host-graphic
+    (by the Yin–Li clique condition for order k on a prefix, then by
+    ``_split_holds`` on each leaf before its Erdős–Gallai test). h lies in
     that host with a maximum independent set on the independent side, so
     every realization containing the host contains h. Like Yin–Li, the
     skip names no copy of h, so it is not a rule of the decision.
@@ -534,11 +542,11 @@ def sigma_exact(
     if n < h.k:
         raise ValueError(f"length {n} below graph order {h.k}")
     alpha = independence_number(h)
-    clique = h.k - alpha
+    host = (h.k - alpha, alpha)
     for total in range(n * (n - 1), -1, -2):
         falses = tuple(
-            s for s in enumerate_graphic_sequences(n, total, k=h.k)
-            if not _split_holds(s.terms, clique, alpha) and not _decide(s.terms, h)
+            s for s in enumerate_graphic_sequences(n, total, host=host)
+            if not _decide(s.terms, h)
         )
         if falses:
             return SigmaExact(n=n, value=total + 2, extremal_sequences=falses)

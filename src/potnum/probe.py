@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -53,8 +54,11 @@ def default_f(k: int) -> int:
     return math.comb(k, k // 2) * 8 * k * k
 
 
+# typed: a float epsilon equal to a Fraction must not hand back a float bound
+@lru_cache(maxsize=1 << 8, typed=True)
 def delta_bound(epsilon: Fraction, k: int) -> Fraction:
-    """Strict upper bound on delta used by the convergence argument."""
+    """Strict upper bound on delta used by the convergence argument,
+    cached: ``ProbeConfig.resolve`` asks for it on every probe."""
     return epsilon / (16 * k**3 + 48 * k**2 + (32 + epsilon) * k)
 
 

@@ -40,7 +40,7 @@ from potnum.oracle import (
     _decide,
     _split_holds,
 )
-from potnum.sequences import DegreeSequence, is_graphic, layoff, parse_sequence
+from potnum.sequences import DegreeSequence, _graphic_desc, is_graphic, layoff, parse_sequence
 
 
 def seq(text):
@@ -96,7 +96,7 @@ def test_solve_residual_leaves_no_cyclic_garbage():
     witnessed, refuted = (4, 3, 3, 2, 2, 2), (7, 1, 1, 1, 1, 1, 1, 1)
     assert oracle._full_search(witnessed, k3)
     assert not oracle._full_search(refuted, k3)
-    scan = lambda: oracle._extend_prefix([0] * 7, 7, 10, 3, 0, 0, 6)
+    scan = lambda: oracle._extend_prefix([0] * 7, 7, 10, (3, 0), 0, 0, 6)
     assert len(list(scan())) == 6
     gc.collect()
     gc.disable()
@@ -244,6 +244,17 @@ def test_potentially_split_examples():
     assert not potentially(seq("4,4,1^6"), complete_split(2, 1)).answer
 
 
+def test_split_holds_proves_graphic_on_any_tuple():
+    # the enumerator's leaves meet _split_holds before their Erdős–Gallai
+    # test, so it sees tuples that are not graphic; its True stands for a
+    # realization it has built, so none of those may pass for any host
+    hosts = [(r, m - r) for m in range(7) for r in range(m + 1)]
+    for n in range(9):
+        for t in combinations_with_replacement(range(n - 1, -1, -1), n):
+            if not _graphic_desc(t):
+                assert not any(_split_holds(t, r, s) for r, s in hosts), t
+
+
 def test_split_holds_matches_the_decision_both_ways():
     # sigma_exact skips every sequence _split_holds accepts, so it must
     # never accept a sequence the decision refutes; that it misses none
@@ -278,13 +289,17 @@ def _graphic_by_reference(n, total):
 
 
 def test_enumerate_matches_reference_with_and_without_clique_skip():
+    # with a host, the enumerator leaves out exactly the sequences the
+    # decision finds potentially host-graphic, whether by the Yin–Li
+    # prefix skip or by the leaf's split test
+    hosts = [(r, m - r, complete_split(r, m - r)) for m in range(6) for r in range(m + 1)]
     for n in range(9):
         for total in range(0, n * (n - 1) + 1, 2):
             want = _graphic_by_reference(n, total)
             assert list(enumerate_graphic_sequences(n, total)) == want, (n, total)
-            for k in range(2, 6):
-                kept = [s for s in want if not yin_li_kk(s, k)]
-                assert list(enumerate_graphic_sequences(n, total, k=k)) == kept, (n, total, k)
+            for r, t, host in hosts:
+                kept = [s for s in want if not _decide(s.terms, host)]
+                assert list(enumerate_graphic_sequences(n, total, host=(r, t))) == kept, (n, total, r, t)
 
 
 def test_enumerate_fixed_sum_order_is_lex_decreasing():
@@ -367,6 +382,24 @@ def test_sigma_matches_scan_of_every_sequence_n8():
                 break
         got = sigma_exact(h, n)
         assert (got.value, got.extremal_sequences) == want, name
+
+
+def test_sigma_n10_values_and_maximizers():
+    # pinned from the scan that ran the split test after enumeration
+    want = {
+        "K3": (20, ["9,1^9", "8,2,1^8", "7,3,1^8", "6,4,1^8", "5,5,1^8"]),
+        "K4": (36, ["9,9,2^8", "9,8,3,2^7", "9,7,4,2^7", "9,6,5,2^7",
+                    "8,8,4,2^7", "8,7,5,2^7", "8,6,6,2^7", "7,7,6,2^7"]),
+        "C5": (36, ["9,9,2^8"]),
+        "C6": (38, ["9,9,3,3,2^6"]),
+        "P4": (20, ["9,1^9"]),
+        "K23": (32, ["9,3^6,1^3", "9,3^3,2^6"]),
+        "split23": (38, ["9,3^9"]),
+        "friendship2": (36, ["9,9,2^8"]),
+    }
+    for name, h in corpus().items():
+        got = sigma_exact(h, 10)
+        assert (got.value, [s.to_text() for s in got.extremal_sequences]) == want[name], name
 
 
 def test_sigma_n11_values():
