@@ -4,7 +4,10 @@ Exact potentially-H-graphic decisions, canonical realizations, and exact
 potential numbers. A potential number scans the sequences of each sum
 level from a depth-first generator that prunes prefixes by an
 Erdős–Gallai bound and skips every subtree whose first k or 2k terms
-already satisfy the Yin–Li clique condition. Each leaf of the scan is
+already satisfy the Yin–Li clique condition. A generator frame holds a
+prefix with two terms or more still to place: the last term is forced
+by the sum, so the loop that places the term before it writes it and
+tests the leaf in place. Each leaf of the scan is
 first tested for the split host ``complete_split(k - alpha, alpha)``,
 which contains H, by one residual-graphicity test. The test is sound by
 construction: it places the host's edges itself and asks only that the
@@ -442,45 +445,66 @@ def enumerate_graphic_sequences(
         totals = [total] if total % 2 == 0 and 0 <= total <= n * (n - 1) else []
     else:
         totals = list(range(n * (n - 1), -1, -2))
+    k = sum(host) if host else 0
     for s in totals:
-        for terms in _extend_prefix([0] * n, n, s, host, 0, 0, max(n - 1, 0)):
+        for terms in _extend_prefix([0] * n, n, s, host, k, 0, 0, max(n - 1, 0)):
             yield DegreeSequence(terms)
 
 
 def _extend_prefix(
-    terms: List[int], n: int, total: int, host: Optional[Tuple[int, int]], q: int, placed: int, bound: int
+    terms: List[int], n: int, total: int, host: Optional[Tuple[int, int]], k: int, q: int, placed: int, bound: int
 ) -> Iterator[Tuple[int, ...]]:
     """Depth-first over nonincreasing prefixes d1..dq, largest term first:
     the graphic sequences of sum ``total`` below the prefix ``terms[:q]``
     of sum ``placed``, whose next term is at most ``bound``, less those
-    that hold the split ``host``. Writes term q of ``terms`` in place.
+    that hold the split ``host`` of order ``k`` (0 without a host). Writes
+    terms q.. of ``terms`` in place.
 
     A prefix is dropped when its sum exceeds q(q-1) + min(r, (n-q) min(q, dq)),
     r being the sum still to place: no completion then meets the
-    Erdős–Gallai inequality at q. The Yin–Li condition for K_k, k the
-    host's order, reads only the first 2k terms, so a prefix of length k
-    or 2k that passes it passes for every completion and is dropped too.
-    A leaf is dropped when ``_split_holds`` accepts it, which proves it
-    graphic; any other leaf gets the exact Erdős–Gallai test.
+    Erdős–Gallai inequality at q. The Yin–Li condition for K_k reads only
+    the first 2k terms, so a prefix of length k or 2k that passes it
+    passes for every completion and is dropped too.
+
+    The last term is forced: it is the sum still to place, and the range
+    of the term before it, from ceil(r/2) to min(bound, r), keeps it
+    between 0 and that term. So the loop that places term n-1 writes term
+    n itself and tests the leaf there, with no frame of its own: the
+    Yin–Li condition when n is k or 2k, then ``_split_holds``, whose True
+    drops the leaf and proves it graphic, and only then the exact
+    Erdős–Gallai test. Every frame thus has two slots or more to fill,
+    except a top frame of length 0 or 1, which tests its one leaf itself.
     """
     r = total - placed
     slots = n - q
-    if slots == 0:
+    if slots < 2:
+        terms[q:] = [r] * slots
         leaf = tuple(terms)
-        if not (host and _split_holds(leaf, *host)) and _graphic_desc(leaf):
-            yield leaf
+        if not ((n == k or n == 2 * k) and _yin_li_terms(leaf, k)):
+            if not (host and _split_holds(leaf, *host)) and _graphic_desc(leaf):
+                yield leaf
         return
-    k = sum(host) if host else 0
     q1 = q + 1
     base = q1 * (q1 - 1)
-    for d in range(min(bound, r), -(-r // slots) - 1, -1):
+    tail = slots - 1
+    for d in range(bound if bound < r else r, -(-r // slots) - 1, -1):
         s = placed + d
-        if s > base + min(total - s, (slots - 1) * min(q1, d)):
+        rest = total - s
+        cap = tail * (q1 if q1 < d else d)
+        if s > base + (rest if rest < cap else cap):
             continue
         terms[q] = d
         if (q1 == k or q1 == 2 * k) and _yin_li_terms(tuple(terms[:q1]), k):
             continue
-        yield from _extend_prefix(terms, n, total, host, q1, s, d)
+        if tail > 1:
+            yield from _extend_prefix(terms, n, total, host, k, q1, s, d)
+            continue
+        terms[q1] = rest
+        leaf = tuple(terms)
+        if (n == k or n == 2 * k) and _yin_li_terms(leaf, k):
+            continue
+        if not (host and _split_holds(leaf, *host)) and _graphic_desc(leaf):
+            yield leaf
 
 
 def _split_holds(terms: Tuple[int, ...], r: int, s: int) -> bool:

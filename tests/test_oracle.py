@@ -96,7 +96,7 @@ def test_solve_residual_leaves_no_cyclic_garbage():
     witnessed, refuted = (4, 3, 3, 2, 2, 2), (7, 1, 1, 1, 1, 1, 1, 1)
     assert oracle._full_search(witnessed, k3)
     assert not oracle._full_search(refuted, k3)
-    scan = lambda: oracle._extend_prefix([0] * 7, 7, 10, (3, 0), 0, 0, 6)
+    scan = lambda: oracle._extend_prefix([0] * 7, 7, 10, (3, 0), 3, 0, 0, 6)
     assert len(list(scan())) == 6
     gc.collect()
     gc.disable()
@@ -291,8 +291,10 @@ def _graphic_by_reference(n, total):
 def test_enumerate_matches_reference_with_and_without_clique_skip():
     # with a host, the enumerator leaves out exactly the sequences the
     # decision finds potentially host-graphic, whether by the Yin–Li
-    # prefix skip or by the leaf's split test
-    hosts = [(r, m - r, complete_split(r, m - r)) for m in range(6) for r in range(m + 1)]
+    # prefix skip or by the leaf's split test; with r + s = 6 (C6's host is
+    # (3, 3)) at n = 6 the Yin–Li test reads the whole leaf, in the loop
+    # that forces its last term
+    hosts = [(r, m - r, complete_split(r, m - r)) for m in range(7) for r in range(m + 1)]
     for n in range(9):
         for total in range(0, n * (n - 1) + 1, 2):
             want = _graphic_by_reference(n, total)
@@ -306,6 +308,36 @@ def test_enumerate_fixed_sum_order_is_lex_decreasing():
     got = [s.terms for s in enumerate_graphic_sequences(6, 10)]
     assert got == sorted(got, reverse=True)
     assert all(sum(t) == 10 for t in got)
+
+
+def test_enumerate_edge_cases():
+    # the shortest lengths: below 2 the top frame tests its one leaf, at 2
+    # the loop over the first term forces the second
+    terms = lambda *args, **kw: [s.terms for s in enumerate_graphic_sequences(*args, **kw)]
+    assert terms(0) == terms(0, 0) == [()]
+    assert terms(1) == terms(1, 0) == [(0,)]
+    assert terms(2) == [(1, 1), (0, 0)]
+    assert terms(2, 2) == [(1, 1)]
+    assert terms(1, host=(1, 0)) == terms(2, host=(0, 2)) == []
+    assert terms(1, host=(2, 0)) == [(0,)]
+    assert terms(2, host=(1, 1)) == [(0, 0)]
+    # odd totals, negative totals and totals above n(n-1) have no sequence
+    for n in range(6):
+        for total in (-2, -1, n * (n - 1) + 1, n * (n - 1) + 2):
+            assert terms(n, total) == [], (n, total)
+        for total in range(1, n * (n - 1), 2):
+            assert terms(n, total) == terms(n, total, host=(2, 1)) == [], (n, total)
+    # without a total, sums descend, each level in lexicographically
+    # decreasing order, with or without a host
+    for n in range(8):
+        for host in (None, (2, 1), (3, 3)):
+            got = terms(n, host=host)
+            assert got == sorted(got, key=lambda t: (sum(t), t), reverse=True), (n, host)
+            assert got == [t for total in range(n * (n - 1), -1, -2) for t in terms(n, total, host=host)]
+    with pytest.raises(ValueError):
+        list(enumerate_graphic_sequences(-1))
+    with pytest.raises(ValueError):
+        list(enumerate_graphic_sequences(-3, 0, host=(2, 1)))
 
 
 # --- exact potential numbers ---------------------------------------------------------
@@ -416,6 +448,30 @@ def test_sigma_n12_values():
     assert (k3.value, len(k3.extremal_sequences)) == (24, 6)
     k23 = sigma_exact(complete_bipartite(2, 3), 12, cap_n=12)
     assert (k23.value, len(k23.extremal_sequences)) == (38, 1)
+
+
+def test_sigma_identity_n8_to_n11():
+    # one hash over every value and every maximizer, in order, for the
+    # corpus at n = 8..11, pinned from the scan before the enumerator
+    # forced its last term in the parent's loop
+    digest = hashlib.sha256()
+    for n in range(8, 12):
+        for name, h in corpus().items():
+            r = sigma_exact(h, n, cap_n=11)
+            digest.update(repr((name, n, r.value, [t.terms for t in r.extremal_sequences])).encode())
+    assert digest.hexdigest() == "e97b3847d9e076dd2dde1b179af651bc5dd38cc5fda1408c95f9611dfbe629db"
+
+
+def test_sigma_scan_leaf_count(monkeypatch):
+    # the Yin–Li subtree skip and the Erdős–Gallai prefix bound change no
+    # answer, since the leaf tests drop what they skip, so only the work
+    # shows them: a lost prune raises the number of leaves that reach the
+    # split test
+    leaves = []
+    split = oracle._split_holds
+    monkeypatch.setattr(oracle, "_split_holds", lambda t, r, s: leaves.append(t) or split(t, r, s))
+    sigma_exact(cycle_graph(6), 10)
+    assert len(leaves) == 12868
 
 
 def test_sigma_from_threads():
