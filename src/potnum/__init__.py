@@ -58,7 +58,6 @@ from .oracle import (
     enumerate_graphic_sequences,
     potentially,
     sigma_exact,
-    yin_li_kk,
 )
 from .stability import (
     StabilityVerdict,

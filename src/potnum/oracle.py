@@ -7,8 +7,8 @@ Erdős–Gallai bound and skips every subtree whose first k or 2k terms
 already satisfy the Yin–Li clique condition. A generator frame holds a
 prefix with two terms or more still to place: the last term is forced
 by the sum, so the loop that places the term before it writes it and
-tests the leaf in place. Each leaf of the scan is
-first tested for the split host ``complete_split(k - alpha, alpha)``,
+tests the leaf in place. Leaves get no Yin–Li test. Each leaf of the
+scan is first tested for the split host ``complete_split(k - alpha, alpha)``,
 which contains H, by one residual-graphicity test. The test is sound by
 construction: it places the host's edges itself and asks only that the
 rest be graphic, so a leaf that passes is graphic and has a realization
@@ -400,24 +400,6 @@ def potentially(
     return PotentialCertificate(answer=True, embedding=embedding, realization=real)
 
 
-def _yin_li_terms(terms: Tuple[int, ...], k: int) -> bool:
-    n = len(terms)
-    if k < 1 or n < k or terms[k - 1] < k - 1:
-        return False
-    if all(terms[i - 1] >= 2 * (k - 1) - i for i in range(1, k - 1)):
-        return True
-    return n >= 2 * k and terms[2 * k - 1] >= k - 2
-
-
-def yin_li_kk(seq: DegreeSequence, k: int) -> bool:
-    """Sufficient test for potentially-clique-graphic (never a refutation).
-
-    True iff d_k >= k-1 together with either d_i >= 2(k-1)-i for all
-    i <= k-2, or d_2k >= k-2. False only means undecided.
-    """
-    return _yin_li_terms(seq.terms, k)
-
-
 # ---------------------------------------------------------------------------
 # Graphic sequence enumeration and exact potential numbers
 
@@ -436,11 +418,16 @@ def enumerate_graphic_sequences(
     otherwise: every graph the host contains is potentially contained in
     them, so none can refute. Subtrees are skipped as soon as the first
     r+s or 2(r+s) terms settle the Yin–Li condition for the clique
-    K_{r+s}, which contains the host. Each leaf then meets
-    ``_split_holds`` before its Erdős–Gallai test.
+    K_{r+s}, which contains the host. Each leaf meets only
+    ``_split_holds``, then its Erdős–Gallai test. ``host`` must be a pair
+    of nonnegative ints; anything else raises ``ValueError``.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
+    if host is not None and not (
+        isinstance(host, tuple) and len(host) == 2 and all(isinstance(x, int) and x >= 0 for x in host)
+    ):
+        raise ValueError("host must be a pair of nonnegative ints")
     if total is not None:
         totals = [total] if total % 2 == 0 and 0 <= total <= n * (n - 1) else []
     else:
@@ -462,47 +449,53 @@ def _extend_prefix(
 
     A prefix is dropped when its sum exceeds q(q-1) + min(r, (n-q) min(q, dq)),
     r being the sum still to place: no completion then meets the
-    Erdős–Gallai inequality at q. The Yin–Li condition for K_k reads only
-    the first 2k terms, so a prefix of length k or 2k that passes it
-    passes for every completion and is dropped too.
+    Erdős–Gallai inequality at q. A prefix that meets the Yin–Li condition
+    for K_k, which contains the host, is dropped too, since the condition
+    then holds for every completion. Its first clause, d_k >= k-1 and
+    d_i >= 2(k-1)-i for every i <= k-2, reads only the first k terms; its
+    second, d_k >= k-1 and d_2k >= k-2, the first 2k. The frame that places
+    term k or term 2k finds the earlier terms fixed, so it lowers the
+    range of that term below the values that would meet the condition. At
+    length 2k only d_2k is new: the prefix failed the first clause at k.
 
     The last term is forced: it is the sum still to place, and the range
     of the term before it, from ceil(r/2) to min(bound, r), keeps it
     between 0 and that term. So the loop that places term n-1 writes term
-    n itself and tests the leaf there, with no frame of its own: the
-    Yin–Li condition when n is k or 2k, then ``_split_holds``, whose True
-    drops the leaf and proves it graphic, and only then the exact
-    Erdős–Gallai test. Every frame thus has two slots or more to fill,
-    except a top frame of length 0 or 1, which tests its one leaf itself.
+    n itself and tests the leaf there, with no frame of its own:
+    ``_split_holds``, whose True drops the leaf and proves it graphic, and
+    only then the exact Erdős–Gallai test. Every frame thus has two slots
+    or more to fill, except a top frame of length 0 or 1, which tests its
+    one leaf the same way. A leaf gets no Yin–Li test: one that meets it
+    is potentially K_k-graphic, so the exact split test accepts it.
     """
     r = total - placed
     slots = n - q
     if slots < 2:
         terms[q:] = [r] * slots
         leaf = tuple(terms)
-        if not ((n == k or n == 2 * k) and _yin_li_terms(leaf, k)):
-            if not (host and _split_holds(leaf, *host)) and _graphic_desc(leaf):
-                yield leaf
+        if not (host and _split_holds(leaf, *host)) and _graphic_desc(leaf):
+            yield leaf
         return
     q1 = q + 1
+    top = bound if bound < r else r
+    if q1 == k and top > k - 2 and all(terms[i] >= 2 * k - 3 - i for i in range(k - 2)):
+        top = k - 2
+    elif q1 == 2 * k and top > k - 3 and terms[k - 1] >= k - 1:
+        top = k - 3
     base = q1 * (q1 - 1)
     tail = slots - 1
-    for d in range(bound if bound < r else r, -(-r // slots) - 1, -1):
+    for d in range(top, -(-r // slots) - 1, -1):
         s = placed + d
         rest = total - s
         cap = tail * (q1 if q1 < d else d)
         if s > base + (rest if rest < cap else cap):
             continue
         terms[q] = d
-        if (q1 == k or q1 == 2 * k) and _yin_li_terms(tuple(terms[:q1]), k):
-            continue
         if tail > 1:
             yield from _extend_prefix(terms, n, total, host, k, q1, s, d)
             continue
         terms[q1] = rest
         leaf = tuple(terms)
-        if (n == k or n == 2 * k) and _yin_li_terms(leaf, k):
-            continue
         if not (host and _split_holds(leaf, *host)) and _graphic_desc(leaf):
             yield leaf
 
@@ -553,11 +546,12 @@ def sigma_exact(
     refutation. At each level it decides the graphic sequences that the
     enumerator keeps for the split host ``complete_split(k - alpha,
     alpha)``: it leaves out every sequence that is potentially host-graphic
-    (by the Yin–Li clique condition for order k on a prefix, then by
-    ``_split_holds`` on each leaf before its Erdős–Gallai test). h lies in
-    that host with a maximum independent set on the independent side, so
-    every realization containing the host contains h. Like Yin–Li, the
-    skip names no copy of h, so it is not a rule of the decision.
+    (by the Yin–Li clique condition for order k on a prefix of length k
+    or 2k, and by ``_split_holds`` alone on each leaf before its
+    Erdős–Gallai test). h lies in that host with a maximum independent set
+    on the independent side, so every realization containing the host
+    contains h. Like Yin–Li, the skip names no copy of h, so it is not a
+    rule of the decision.
     """
     if n > cap_n:
         raise CapExceededError(f"length {n} exceeds cap {cap_n}")

@@ -34,6 +34,20 @@ def corpus_patterns():
     return list(dict.fromkeys([*graphs, *(sub for h in graphs for sub, _ in _d1_classes(h))]))
 
 
+def yin_li(terms, k):
+    """The Yin–Li sufficient condition for a potentially K_k-graphic
+    nonincreasing sequence, both clauses, written apart from the
+    enumerator's prefix prune: d_k >= k-1, together with either
+    d_i >= 2(k-1)-i for every i <= k-2, or d_2k >= k-2. False only
+    means undecided."""
+    n = len(terms)
+    if k < 1 or n < k or terms[k - 1] < k - 1:
+        return False
+    if all(terms[i - 1] >= 2 * (k - 1) - i for i in range(1, k - 1)):
+        return True
+    return n >= 2 * k and terms[2 * k - 1] >= k - 2
+
+
 @lru_cache(maxsize=None)
 def realizable_by_search(terms):
     """Realization existence by pure search, independent of any

@@ -11,7 +11,7 @@ every graphic sequence of length at most 7, and each refutation must
 name the rule that a classification made here assigns it.
 """
 
-from conftest import corpus_patterns
+from conftest import corpus_patterns, yin_li
 from potnum.graphs import SmallGraph, find_embedding
 from potnum.oracle import (
     Realization,
@@ -21,7 +21,6 @@ from potnum.oracle import (
     _full_search,
     canonical_realization,
     enumerate_graphic_sequences,
-    yin_li_kk,
 )
 from potnum.sequences import DegreeSequence
 
@@ -37,7 +36,7 @@ def _reference_decide(terms, h):
         return n >= h.k
     if not _dominated(terms, h):
         return False
-    if yin_li_kk(DegreeSequence(terms), h.k):
+    if yin_li(terms, h.k):
         return True
     if terms[0] == n - 1:
         lay = tuple(t - 1 for t in terms[1:])

@@ -15,7 +15,7 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from conftest import corpus, corpus_patterns
+from conftest import corpus, corpus_patterns, yin_li
 from potnum import oracle
 from potnum.graphs import (
     SmallGraph,
@@ -36,7 +36,6 @@ from potnum.oracle import (
     enumerate_graphic_sequences,
     potentially,
     sigma_exact,
-    yin_li_kk,
     _decide,
     _split_holds,
 )
@@ -96,7 +95,7 @@ def test_solve_residual_leaves_no_cyclic_garbage():
     witnessed, refuted = (4, 3, 3, 2, 2, 2), (7, 1, 1, 1, 1, 1, 1, 1)
     assert oracle._full_search(witnessed, k3)
     assert not oracle._full_search(refuted, k3)
-    scan = lambda: oracle._extend_prefix([0] * 7, 7, 10, (3, 0), 3, 0, 0, 6)
+    scan = lambda: enumerate_graphic_sequences(7, 10, host=(3, 0))
     assert len(list(scan())) == 6
     gc.collect()
     gc.disable()
@@ -220,10 +219,10 @@ def test_potentially_monotone_under_layoff():
 
 
 def test_yin_li_examples():
-    assert yin_li_kk(seq("3,2,2,2,1"), 3)
-    assert not yin_li_kk(seq("7,1^7"), 3)
+    assert yin_li(seq("3,2,2,2,1").terms, 3)
+    assert not yin_li(seq("7,1^7").terms, 3)
     for k in range(2, 6):
-        assert yin_li_kk(DegreeSequence([k - 1] * (2 * k)), k)
+        assert yin_li(DegreeSequence([k - 1] * (2 * k)).terms, k)
 
 
 def test_yin_li_implies_potentially():
@@ -232,7 +231,7 @@ def test_yin_li_implies_potentially():
         h = complete_graph(k)
         for n in range(k, 9):
             for s in enumerate_graphic_sequences(n):
-                if yin_li_kk(s, k):
+                if yin_li(s.terms, k):
                     assert _decide(s.terms, h), (s, k)
 
 
@@ -292,8 +291,8 @@ def test_enumerate_matches_reference_with_and_without_clique_skip():
     # with a host, the enumerator leaves out exactly the sequences the
     # decision finds potentially host-graphic, whether by the Yin–Li
     # prefix skip or by the leaf's split test; with r + s = 6 (C6's host is
-    # (3, 3)) at n = 6 the Yin–Li test reads the whole leaf, in the loop
-    # that forces its last term
+    # (3, 3)) at n = 6 only the split test, in the loop that forces the
+    # last term, settles a leaf that meets the Yin–Li condition
     hosts = [(r, m - r, complete_split(r, m - r)) for m in range(7) for r in range(m + 1)]
     for n in range(9):
         for total in range(0, n * (n - 1) + 1, 2):
@@ -338,6 +337,11 @@ def test_enumerate_edge_cases():
         list(enumerate_graphic_sequences(-1))
     with pytest.raises(ValueError):
         list(enumerate_graphic_sequences(-3, 0, host=(2, 1)))
+    # a host that is not a pair of nonnegative ints is refused, not read
+    # as some other host: (1,) would drop every prefix by the k = 1 prune
+    for host in ((-1, 2), (2, -1), (1,), (1, 1, 1), (2.0, 1), [2, 1], 3):
+        with pytest.raises(ValueError):
+            list(enumerate_graphic_sequences(5, host=host))
 
 
 # --- exact potential numbers ---------------------------------------------------------
@@ -466,12 +470,54 @@ def test_sigma_scan_leaf_count(monkeypatch):
     # the Yin–Li subtree skip and the Erdős–Gallai prefix bound change no
     # answer, since the leaf tests drop what they skip, so only the work
     # shows them: a lost prune raises the number of leaves that reach the
-    # split test
+    # split test. K4 and P4 (hosts of order k = 4) meet the prune at
+    # length 2k = 8, so a lost 2k branch shows in them; C5, K23, split23
+    # and friendship2 have 2k = 10 = n, and their length-10 leaves meet the
+    # split test, not Yin–Li
     leaves = []
     split = oracle._split_holds
     monkeypatch.setattr(oracle, "_split_holds", lambda t, r, s: leaves.append(t) or split(t, r, s))
-    sigma_exact(cycle_graph(6), 10)
-    assert len(leaves) == 12868
+    counts = {}
+    for name, h in corpus().items():
+        leaves.clear()
+        sigma_exact(h, 10)
+        counts[name] = len(leaves)
+    assert counts == {
+        "K3": 5, "K4": 8, "C5": 3971, "C6": 12868,
+        "P4": 835, "K23": 5299, "split23": 3186, "friendship2": 3971,
+    }
+
+
+def test_sigma_closed_forms_from_the_literature():
+    # σ against closed forms from outside this program, each from the
+    # first n at which the scan meets it, through n = 12 (10 for C7, C8)
+    forms = [
+        # the Erdős–Jacobson–Lehel clique form, sigma(K_{r+1}, n) =
+        # (r-1)(2n-r) + 2 for n large enough, proved for K3 by Gould,
+        # Jacobson and Lehel and for larger cliques by Li, Song and Luo.
+        # Below the first n a regular sequence beats it: 4^7,0 refutes K4
+        # at n = 8 and 6^9,0 refutes K5 at n = 10, since the complement of
+        # a 2-regular graph on 7 or 9 vertices has no independent 4 or 5 set
+        (complete_graph(3), lambda n: 2 * n, 6, 12),
+        (complete_graph(4), lambda n: 4 * n - 4, 9, 12),
+        (complete_graph(5), lambda n: 6 * n - 10, 11, 12),
+        # the cycle forms: sigma(C4, n) = 2 floor((3n-1)/2) (Gould,
+        # Jacobson and Lehel), and, for m >= 2, sigma(C_{2m+1}, n) =
+        # m(2n-m-1) + 2 and sigma(C_{2m+2}, n) = m(2n-m-1) + 4 (Gould,
+        # Jacobson and Lehel's conjecture, proved for C5 and C6 by Lai
+        # Chunhui, with other cases by others)
+        (cycle_graph(4), lambda n: 2 * ((3 * n - 1) // 2), 4, 12),
+        (cycle_graph(5), lambda n: 4 * n - 4, 5, 12),
+        (cycle_graph(6), lambda n: 4 * n - 2, 7, 12),
+        (cycle_graph(7), lambda n: 6 * n - 10, 8, 10),
+        (cycle_graph(8), lambda n: 6 * n - 8, 10, 10),
+        # stars: a sequence is potentially K_{1,s}-graphic iff d1 >= s, and
+        # 2^n (the cycle C_n) is the largest sum with d1 <= 2
+        (complete_bipartite(1, 3), lambda n: 2 * n + 2, 4, 12),
+    ]
+    for h, form, first, last in forms:
+        for n in range(first, last + 1):
+            assert sigma_exact(h, n, cap_n=12).value == form(n), (h.edges(), n)
 
 
 def test_sigma_from_threads():
