@@ -1,0 +1,48 @@
+"""Print σ(H, n), its maximizer count and the CPU seconds it took, for
+each graph of the eight-graph test corpus at the given lengths.
+
+    PYTHONPATH=src python scripts/sigma_table.py 13 14 15 16
+
+Each length runs the corpus in turn in this one process; the times are
+``time.process_time`` seconds. Lengths above 16 exceed the vertex cap.
+"""
+
+import sys
+import time
+
+from potnum.graphs import (
+    complete_bipartite,
+    complete_graph,
+    complete_split,
+    cycle_graph,
+    friendship_graph,
+    path_graph,
+)
+from potnum.oracle import sigma_exact
+
+CORPUS = {
+    "K3": complete_graph(3),
+    "K4": complete_graph(4),
+    "C5": cycle_graph(5),
+    "C6": cycle_graph(6),
+    "P4": path_graph(4),
+    "K23": complete_bipartite(2, 3),
+    "split23": complete_split(2, 3),
+    "friendship2": friendship_graph(2),
+}
+
+
+def main(lengths):
+    for n in lengths:
+        total = 0.0
+        for name, h in CORPUS.items():
+            start = time.process_time()
+            out = sigma_exact(h, n, cap_n=n)
+            took = time.process_time() - start
+            total += took
+            print(f"n={n} {name} sigma={out.value} maximizers={len(out.extremal_sequences)} cpu={took:.2f}s", flush=True)
+        print(f"n={n} corpus cpu={total:.2f}s", flush=True)
+
+
+if __name__ == "__main__":
+    main([int(a) for a in sys.argv[1:]] or [13])

@@ -98,6 +98,16 @@ class SmallGraph:
         return SmallGraph(len(vs), edges)
 
 
+def _from_masks(k: int, adj: List[int]) -> SmallGraph:
+    """A graph from adjacency masks its caller has built symmetric, loop
+    free and in range, on at most ``MAX_VERTICES`` vertices: no per-edge
+    check."""
+    graph = object.__new__(SmallGraph)
+    object.__setattr__(graph, "k", k)
+    object.__setattr__(graph, "adj", tuple(adj))
+    return graph
+
+
 # ---------------------------------------------------------------------------
 # Constructors
 

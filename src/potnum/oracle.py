@@ -16,6 +16,22 @@ containing H. Only a leaf that fails it gets the Erdős–Gallai test, and
 only a graphic leaf that fails it is decided, so that few sequences that
 cannot refute are decided.
 
+A frame that places a term at position k or later ends its loop at the
+first value d whose greedy completion holds the host: the prefix, then d
+as often as the sum still to place allows, then the remainder, then
+zeros. Every later value, and every sequence below d, has a tail that
+this completion's tail majorizes, so the same host test would pass on
+each of them. The lemma: if a sequence has a realization with the host
+on positions 0..k-1, moving one unit from a term a to a term b with
+a >= b + 2, both at positions k or later, keeps one. Vertex u (of degree
+a) has a neighbour w outside N[v] (v of degree b), since u has at least
+b + 1 neighbours other than v; the 2-switch that replaces uw by vw keeps
+every other degree, and uw is no host edge because u lies outside the
+host's positions. A majorized tail is reached from the greedy one by such
+unit moves, so every sequence the break skips is potentially host-graphic
+and cannot refute. Where the split test is exact, the enumerator's
+output is the same with or without the break.
+
 Yin–Li and the split test only prune that scan. Neither is a decision
 rule: they name no copy of H, and a true answer must carry one. One
 recursion decides a sequence. It tries these rules in order:
@@ -52,6 +68,7 @@ from .graphs import (
     MAX_VERTICES,
     CapExceededError,
     SmallGraph,
+    _from_masks,
     deleted_family,
     find_embedding,
     independence_number,
@@ -123,6 +140,11 @@ def canonical_realization(seq: DegreeSequence) -> Realization:
     the first vertex and its targets the next d of them. Vertex 0 ends up
     adjacent to vertices 1..d1, so the maximum-degree vertex is adjacent
     to the d1 highest-degree others.
+
+    The adjacency masks are built in the loop and not checked edge by
+    edge: a pivot's targets are other vertices of positive demand, and its
+    own demand is then zero, so no loop or repeated edge can arise.
+    ``Realization`` still checks the degrees.
     """
     if not is_graphic(seq):
         raise ValueError(f"sequence {seq.to_text()} is not graphic")
@@ -130,7 +152,7 @@ def canonical_realization(seq: DegreeSequence) -> Realization:
     if n > MAX_VERTICES:
         raise CapExceededError(f"realization on {n} vertices exceeds cap {MAX_VERTICES}")
     rem = list(seq.terms)
-    edges: List[Tuple[int, int]] = []
+    adj = [0] * n
     for _ in range(n):  # each step zeroes the pivot's demand
         order = sorted(range(n), key=rem.__getitem__, reverse=True)
         u = order[0]
@@ -140,10 +162,11 @@ def canonical_realization(seq: DegreeSequence) -> Realization:
         if du >= n or rem[order[du]] == 0:
             raise AssertionError("Havel–Hakimi ran out of targets on graphic input")
         for v in order[1:du + 1]:
-            edges.append((u, v))
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
             rem[v] -= 1
         rem[u] = 0
-    return Realization(graph=SmallGraph(n, edges), sequence=seq)
+    return Realization(graph=_from_masks(n, adj), sequence=seq)
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +441,12 @@ def enumerate_graphic_sequences(
     otherwise: every graph the host contains is potentially contained in
     them, so none can refute. Subtrees are skipped as soon as the first
     r+s or 2(r+s) terms settle the Yin–Li condition for the clique
-    K_{r+s}, which contains the host. Each leaf meets only
-    ``_split_holds``, then its Erdős–Gallai test. ``host`` must be a pair
-    of nonnegative ints; anything else raises ``ValueError``.
+    K_{r+s}, which contains the host, and a loop over a term at position
+    r+s or later ends at the first value whose greedy completion passes
+    ``_split_holds``: by the 2-switch lemma of the module docstring, every
+    sequence it skips is potentially host-graphic too. Each leaf meets
+    only ``_split_holds``, then its Erdős–Gallai test. ``host`` must be a
+    pair of nonnegative ints; anything else raises ``ValueError``.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
@@ -467,6 +493,19 @@ def _extend_prefix(
     or more to fill, except a top frame of length 0 or 1, which tests its
     one leaf the same way. A leaf gets no Yin–Li test: one that meets it
     is potentially K_k-graphic, so the exact split test accepts it.
+
+    A frame with q >= k, whose slots all lie past the host's positions,
+    tests before it descends into value d the greedy completion g(d): the
+    prefix, d repeated r // d times, the remainder, then zeros. When
+    ``_split_holds(g(d))`` holds the frame returns: every completion with
+    a value of at most d here has a tail that g(d)'s tail majorizes, and
+    the unit moves that lead from one to the other are 2-switches that
+    never touch a host edge (module docstring), so each is potentially
+    host-graphic. In the loop that forces the last term g(d) is the leaf
+    itself, so the first leaf that passes the split test ends that loop.
+    The values before the first passing one fail, so a child's first
+    value, whose greedy completion is its parent's for the value the
+    parent placed, skips the test when the parent, at q - 1 >= k, made it.
     """
     r = total - placed
     slots = n - q
@@ -478,12 +517,19 @@ def _extend_prefix(
         return
     q1 = q + 1
     top = bound if bound < r else r
+    # a parent at q - 1 >= k has tested, and found failing, the greedy
+    # completion of the value it placed: this frame's for the top before
+    # the clique prune lowers it
+    tested = top if q > k else -1
     if q1 == k and top > k - 2 and all(terms[i] >= 2 * k - 3 - i for i in range(k - 2)):
         top = k - 2
     elif q1 == 2 * k and top > k - 3 and terms[k - 1] >= k - 1:
         top = k - 3
     base = q1 * (q1 - 1)
     tail = slots - 1
+    greedy = host and q >= k
+    if greedy:
+        head = tuple(terms[:q])
     for d in range(top, -(-r // slots) - 1, -1):
         s = placed + d
         rest = total - s
@@ -492,11 +538,19 @@ def _extend_prefix(
             continue
         terms[q] = d
         if tail > 1:
+            if greedy and d != tested:
+                m = r // d if d else slots
+                if _split_holds(head + (d,) * m + (r - m * d,) * (m < slots) + (0,) * (slots - m - 1), *host):
+                    return
             yield from _extend_prefix(terms, n, total, host, k, q1, s, d)
             continue
         terms[q1] = rest
         leaf = tuple(terms)
-        if not (host and _split_holds(leaf, *host)) and _graphic_desc(leaf):
+        if host and d != tested and _split_holds(leaf, *host):
+            if greedy:
+                return
+            continue
+        if _graphic_desc(leaf):
             yield leaf
 
 
@@ -547,11 +601,14 @@ def sigma_exact(
     enumerator keeps for the split host ``complete_split(k - alpha,
     alpha)``: it leaves out every sequence that is potentially host-graphic
     (by the Yin–Li clique condition for order k on a prefix of length k
-    or 2k, and by ``_split_holds`` alone on each leaf before its
-    Erdős–Gallai test). h lies in that host with a maximum independent set
-    on the independent side, so every realization containing the host
-    contains h. Like Yin–Li, the skip names no copy of h, so it is not a
-    rule of the decision.
+    or 2k, by ``_split_holds`` on each leaf before its Erdős–Gallai test,
+    and by the same test on a greedy completion, which ends a loop over a
+    term at position k or later: a 2-switch that moves one unit between
+    two terms past the host's positions keeps the host, so every
+    completion that completion majorizes holds it too). h lies in that
+    host with a maximum independent set on the independent side, so every
+    realization containing the host contains h. Like Yin–Li, the skip
+    names no copy of h, so it is not a rule of the decision.
     """
     if n > cap_n:
         raise CapExceededError(f"length {n} exceeds cap {cap_n}")

@@ -14,6 +14,7 @@ import threading
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import corpus, corpus_patterns, yin_li
 from potnum import oracle
@@ -254,6 +255,40 @@ def test_split_holds_proves_graphic_on_any_tuple():
                 assert not any(_split_holds(t, r, s) for r, s in hosts), t
 
 
+@st.composite
+def _host_and_sequence(draw):
+    """A split host (r, s) with r + s <= 5 and the sorted degrees of a
+    random graph on n <= 9 vertices that holds it on random vertices."""
+    r = draw(st.integers(0, 5))
+    s = draw(st.integers(0, 5 - r))
+    n = draw(st.integers(r + s + 2, 9))
+    pairs = list(combinations(range(n), 2))
+    picked = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    place = draw(st.permutations(range(n)))
+    edges = {p for p, b in zip(pairs, picked) if b}
+    edges |= {tuple(sorted((place[u], place[v]))) for u, v in complete_split(r, s).edges()}
+    return r, s, sorted(SmallGraph(n, edges).degrees(), reverse=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_host_and_sequence(), st.data())
+def test_unit_transfer_below_the_host_keeps_it(drawn, data):
+    # the lemma behind the σ scan's greedy-completion break, checked by the
+    # decision alone: moving one unit from a term to one at least 2 smaller,
+    # both at positions >= r + s, leaves a potentially complete_split(r, s)-
+    # graphic sequence potentially host-graphic (a 2-switch moves an edge uw
+    # with u outside the host to vw)
+    r, s, y = drawn
+    host = complete_split(r, s)
+    assert _decide(tuple(y), host)
+    moves = [(a, b) for a in range(r + s, len(y)) for b in range(r + s, len(y)) if y[a] >= y[b] + 2]
+    assume(moves)
+    a, b = data.draw(st.sampled_from(moves))
+    y[a] -= 1
+    y[b] += 1
+    assert _decide(tuple(sorted(y, reverse=True)), host), (r, s, y)
+
+
 def test_split_holds_matches_the_decision_both_ways():
     # sigma_exact skips every sequence _split_holds accepts, so it must
     # never accept a sequence the decision refutes; that it misses none
@@ -467,25 +502,42 @@ def test_sigma_identity_n8_to_n11():
 
 
 def test_sigma_scan_leaf_count(monkeypatch):
-    # the Yin–Li subtree skip and the Erdős–Gallai prefix bound change no
-    # answer, since the leaf tests drop what they skip, so only the work
-    # shows them: a lost prune raises the number of leaves that reach the
-    # split test. K4 and P4 (hosts of order k = 4) meet the prune at
-    # length 2k = 8, so a lost 2k branch shows in them; C5, K23, split23
-    # and friendship2 have 2k = 10 = n, and their length-10 leaves meet the
-    # split test, not Yin–Li
-    leaves = []
-    split = oracle._split_holds
-    monkeypatch.setattr(oracle, "_split_holds", lambda t, r, s: leaves.append(t) or split(t, r, s))
+    # the Yin–Li subtree skip, the Erdős–Gallai prefix bound and the
+    # greedy-completion break change no answer, since the leaf tests drop
+    # what they skip, so only the work shows them: a lost prune raises the
+    # number of split tests. Each count is (leaf tests, greedy-completion
+    # tests): a frame tests the greedy completion of each value before it
+    # descends, and a leaf's own test is made in the loop that forces the
+    # last term (the caller's ``tail`` is 1 there, or not yet bound in a
+    # top frame of length 0 or 1). P4 (a host of order k = 4) meets the
+    # clique prune at length 2k = 8, so a lost 2k branch shows in it
     counts = {}
+    split = oracle._split_holds
+
+    def counted(t, r, s):
+        counts[name][sys._getframe(1).f_locals.get("tail", 1) > 1] += 1
+        return split(t, r, s)
+
+    monkeypatch.setattr(oracle, "_split_holds", counted)
     for name, h in corpus().items():
-        leaves.clear()
+        counts[name] = [0, 0]
         sigma_exact(h, 10)
-        counts[name] = len(leaves)
-    assert counts == {
-        "K3": 5, "K4": 8, "C5": 3971, "C6": 12868,
-        "P4": 835, "K23": 5299, "split23": 3186, "friendship2": 3971,
+    assert {name: tuple(c) for name, c in counts.items()} == {
+        "K3": (0, 7), "K4": (0, 16), "C5": (178, 1576), "C6": (1026, 5240),
+        "P4": (10, 530), "K23": (184, 2150), "split23": (142, 1214), "friendship2": (178, 1576),
     }
+
+
+def test_sigma_n13_values():
+    # ROADMAP item 1's n = 13 row: σ, and the maximizer count where it is
+    # above one, for the corpus
+    want = {
+        "K3": (26, 6), "K4": (48, 14), "C5": (48, 1), "C6": (50, 1),
+        "P4": (26, 1), "K23": (40, 2), "split23": (50, 1), "friendship2": (48, 1),
+    }
+    for name, h in corpus().items():
+        got = sigma_exact(h, 13, cap_n=13)
+        assert (got.value, len(got.extremal_sequences)) == want[name], name
 
 
 def test_sigma_closed_forms_from_the_literature():
