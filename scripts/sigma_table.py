@@ -5,8 +5,12 @@ each graph of the eight-graph test corpus at the given lengths.
 
 Each length runs the corpus in turn in this one process; the times are
 ``time.process_time`` seconds. Lengths above 16 exceed the vertex cap.
+Each length ends with a sha256 digest over every graph's name, σ and
+maximizer texts, in corpus order, so that two checkouts can be compared
+by one line per length.
 """
 
+import hashlib
 import sys
 import time
 
@@ -35,13 +39,17 @@ CORPUS = {
 def main(lengths):
     for n in lengths:
         total = 0.0
+        digest = hashlib.sha256()
         for name, h in CORPUS.items():
             start = time.process_time()
             out = sigma_exact(h, n, cap_n=n)
             took = time.process_time() - start
             total += took
+            texts = " ".join(s.to_text() for s in out.extremal_sequences)
+            digest.update(f"{name} {out.value} {texts}\n".encode())
             print(f"n={n} {name} sigma={out.value} maximizers={len(out.extremal_sequences)} cpu={took:.2f}s", flush=True)
         print(f"n={n} corpus cpu={total:.2f}s", flush=True)
+        print(f"n={n} digest sha256={digest.hexdigest()}", flush=True)
 
 
 if __name__ == "__main__":

@@ -2,19 +2,23 @@
 
 Exact potentially-H-graphic decisions, canonical realizations, and exact
 potential numbers. A potential number scans the sequences of each sum
-level from a depth-first generator that prunes prefixes by an
-Erdős–Gallai bound and skips every subtree whose first k or 2k terms
-already satisfy the Yin–Li clique condition. A generator frame holds a
-prefix with two terms or more still to place: the last term is forced
-by the sum, so the loop that places the term before it writes it and
-tests the leaf in place. Leaves get no Yin–Li test. Each leaf of the
-scan is first tested for the split host ``complete_split(k - alpha, alpha)``,
-which contains H, by one residual-graphicity test. The test is sound by
-construction: it places the host's edges itself and asks only that the
-rest be graphic, so a leaf that passes is graphic and has a realization
-containing H. Only a leaf that fails it gets the Erdős–Gallai test, and
-only a graphic leaf that fails it is decided, so that few sequences that
-cannot refute are decided.
+level with a depth-first recursion that collects the level's kept leaves
+in a list, prunes prefixes by an Erdős–Gallai bound and skips every
+subtree whose first k or 2k terms already satisfy the Yin–Li clique
+condition. A frame holds a prefix with two terms or more still to place:
+the last term is forced by the sum, so the loop that places the term
+before it writes it and tests the leaf in place. Leaves get no Yin–Li
+test. Each leaf of the scan is first tested for the split host
+``complete_split(k - alpha, alpha)``, which contains H, by one
+residual-graphicity test. The test is sound by construction: it places
+the host's edges itself and asks only that the rest be graphic, so a leaf
+that passes is graphic and has a realization containing H. Only a leaf
+that fails it gets the Erdős–Gallai test, and only a graphic leaf that
+fails it is decided, so that few sequences that cannot refute are
+decided. Once the first k terms are placed, a prefix whose terms fail the
+split test's own conditions (d_r >= k-1 and d_k >= r for the host
+K_r + s independent vertices) makes no split test in its subtree: every
+completion would fail it.
 
 A frame that places a term at position k or later ends its loop at the
 first value d whose greedy completion holds the host: the prefix, then d
@@ -32,6 +36,12 @@ unit moves, so every sequence the break skips is potentially host-graphic
 and cannot refute. Where the split test is exact, the enumerator's
 output is the same with or without the break.
 
+At the sum levels from 2(n-1) + sigma(H - v, n-1) up, v a vertex of
+maximum degree, the scan starts below d1 = n-1: the lay-off of a sequence
+with a dominating head is then potentially (H - v)-graphic, so the
+dominating-head rule below accepts the sequence (``sigma_exact`` gives
+the proof).
+
 Yin–Li and the split test only prune that scan. Neither is a decision
 rule: they name no copy of H, and a true answer must carry one. One
 recursion decides a sequence. It tries these rules in order:
@@ -40,7 +50,9 @@ recursion decides a sequence. It tries these rules in order:
   of the sequence;
 * dominating heads (d1 = n-1) are stripped recursively, trading H for its
   one-vertex-deleted family, which keeps near-extremal sequences cheap;
-* the Havel–Hakimi fast path: H embeds in the canonical realization;
+* the Havel–Hakimi fast path: H embeds in the canonical realization,
+  whose adjacency masks are built without a ``Realization`` until a
+  certificate is asked for;
 * otherwise the full placement search: every automorphism-distinct copy
   of H is placed on every degree-distinct k-subset of positions, and the
   leftover demands are realized by backtracking edge assignment avoiding
@@ -134,6 +146,17 @@ class SigmaExact(NamedTuple):
 def canonical_realization(seq: DegreeSequence) -> Realization:
     """Havel–Hakimi construction: each pivot of maximum remaining demand
     connects to the next-highest demands; ties break toward lower index.
+    ``_havel_hakimi`` builds the adjacency masks; ``Realization`` checks
+    the degrees.
+    """
+    if not is_graphic(seq):
+        raise ValueError(f"sequence {seq.to_text()} is not graphic")
+    return Realization(graph=_from_masks(seq.n, _havel_hakimi(seq.terms)), sequence=seq)
+
+
+def _havel_hakimi(terms: Tuple[int, ...]) -> List[int]:
+    """The adjacency masks of ``canonical_realization`` for graphic
+    ``terms``, with no graph built and no graphic or degree check.
 
     Each step is one stable sort of the vertices by remaining demand,
     highest first, which orders them by (-demand, index): the pivot is
@@ -141,17 +164,14 @@ def canonical_realization(seq: DegreeSequence) -> Realization:
     adjacent to vertices 1..d1, so the maximum-degree vertex is adjacent
     to the d1 highest-degree others.
 
-    The adjacency masks are built in the loop and not checked edge by
-    edge: a pivot's targets are other vertices of positive demand, and its
-    own demand is then zero, so no loop or repeated edge can arise.
-    ``Realization`` still checks the degrees.
+    The masks are not checked edge by edge: a pivot's targets are other
+    vertices of positive demand, and its own demand is then zero, so no
+    loop or repeated edge can arise.
     """
-    if not is_graphic(seq):
-        raise ValueError(f"sequence {seq.to_text()} is not graphic")
-    n = seq.n
+    n = len(terms)
     if n > MAX_VERTICES:
         raise CapExceededError(f"realization on {n} vertices exceeds cap {MAX_VERTICES}")
-    rem = list(seq.terms)
+    rem = list(terms)
     adj = [0] * n
     for _ in range(n):  # each step zeroes the pivot's demand
         order = sorted(range(n), key=rem.__getitem__, reverse=True)
@@ -166,7 +186,7 @@ def canonical_realization(seq: DegreeSequence) -> Realization:
             adj[v] |= 1 << u
             rem[v] -= 1
         rem[u] = 0
-    return Realization(graph=_from_masks(n, adj), sequence=seq)
+    return adj
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +406,10 @@ def _decide(terms: Tuple[int, ...], h: SmallGraph) -> _Decision:
 
             return lift
         return Refutation("dominating_head", *map(sum, zip(*(r[1:] for r in refuted))))
-    real = canonical_realization(DegreeSequence(terms))
-    emb = find_embedding(h, real.graph)
+    graph = _from_masks(n, _havel_hakimi(terms))
+    emb = find_embedding(h, graph)
     if emb is not None:
-        return lambda: (emb, real)
+        return lambda: (emb, Realization(graph=graph, sequence=DegreeSequence(terms)))
     return _full_search(terms, h)
 
 
@@ -434,7 +454,9 @@ def enumerate_graphic_sequences(
 
     With ``total`` fixed, only sequences of that sum are produced, in
     lexicographically decreasing order. Without it, sums descend from
-    n(n-1) to 0.
+    n(n-1) to 0. Each sum level is built in full by ``_extend_prefix``
+    before its first sequence is yielded, so a consumer that stops early
+    has still paid for the whole level.
 
     With a split host ``(r, s)``, the sequences that are potentially
     ``complete_split(r, s)``-graphic are left out, in the same order
@@ -460,18 +482,28 @@ def enumerate_graphic_sequences(
         totals = list(range(n * (n - 1), -1, -2))
     k = sum(host) if host else 0
     for s in totals:
-        for terms in _extend_prefix([0] * n, n, s, host, k, 0, 0, max(n - 1, 0)):
-            yield DegreeSequence(terms)
+        level: List[Tuple[int, ...]] = []
+        _extend_prefix([0] * n, n, s, host, k, 0, 0, max(n - 1, 0), level)
+        yield from map(DegreeSequence, level)
 
 
 def _extend_prefix(
-    terms: List[int], n: int, total: int, host: Optional[Tuple[int, int]], k: int, q: int, placed: int, bound: int
-) -> Iterator[Tuple[int, ...]]:
+    terms: List[int],
+    n: int,
+    total: int,
+    host: Optional[Tuple[int, int]],
+    k: int,
+    q: int,
+    placed: int,
+    bound: int,
+    out: List[Tuple[int, ...]],
+) -> None:
     """Depth-first over nonincreasing prefixes d1..dq, largest term first:
+    appends to ``out``, as tuples in lexicographically decreasing order,
     the graphic sequences of sum ``total`` below the prefix ``terms[:q]``
     of sum ``placed``, whose next term is at most ``bound``, less those
     that hold the split ``host`` of order ``k`` (0 without a host). Writes
-    terms q.. of ``terms`` in place.
+    terms q.. of ``terms`` in place. Each frame is one plain call.
 
     A prefix is dropped when its sum exceeds q(q-1) + min(r, (n-q) min(q, dq)),
     r being the sum still to place: no completion then meets the
@@ -506,6 +538,13 @@ def _extend_prefix(
     The values before the first passing one fail, so a child's first
     value, whose greedy completion is its parent's for the value the
     parent placed, skips the test when the parent, at q - 1 >= k, made it.
+
+    At q >= k the first k terms are fixed. When they fail the split
+    test's first checks, d_r >= k-1 or d_k >= r for ``host`` (r, s), every
+    completion fails it too, so the frame drops the host: it and its
+    subtree, to which it passes None for the host and the same k, make
+    neither greedy nor leaf split tests. The clique prune keeps k and
+    cannot fire there, since a prefix that meets it meets those checks.
     """
     r = total - placed
     slots = n - q
@@ -513,7 +552,7 @@ def _extend_prefix(
         terms[q:] = [r] * slots
         leaf = tuple(terms)
         if not (host and _split_holds(leaf, *host)) and _graphic_desc(leaf):
-            yield leaf
+            out.append(leaf)
         return
     q1 = q + 1
     top = bound if bound < r else r
@@ -527,9 +566,14 @@ def _extend_prefix(
         top = k - 3
     base = q1 * (q1 - 1)
     tail = slots - 1
-    greedy = host and q >= k
-    if greedy:
-        head = tuple(terms[:q])
+    greedy = False
+    if host and q >= k:
+        hr, hs = host
+        if (hr and terms[hr - 1] < k - 1) or (hs and terms[k - 1] < hr):
+            host = None  # no completion of this prefix holds the host
+        else:
+            greedy = True
+            head = tuple(terms[:q])
     for d in range(top, -(-r // slots) - 1, -1):
         s = placed + d
         rest = total - s
@@ -542,7 +586,7 @@ def _extend_prefix(
                 m = r // d if d else slots
                 if _split_holds(head + (d,) * m + (r - m * d,) * (m < slots) + (0,) * (slots - m - 1), *host):
                     return
-            yield from _extend_prefix(terms, n, total, host, k, q1, s, d)
+            _extend_prefix(terms, n, total, host, k, q1, s, d, out)
             continue
         terms[q1] = rest
         leaf = tuple(terms)
@@ -551,7 +595,7 @@ def _extend_prefix(
                 return
             continue
         if _graphic_desc(leaf):
-            yield leaf
+            out.append(leaf)
 
 
 def _split_holds(terms: Tuple[int, ...], r: int, s: int) -> bool:
@@ -597,18 +641,41 @@ def sigma_exact(
     h-graphic; also returns every maximizing non-potential sequence.
 
     Scans sums downward and stops at the first level carrying a
-    refutation. At each level it decides the graphic sequences that the
-    enumerator keeps for the split host ``complete_split(k - alpha,
-    alpha)``: it leaves out every sequence that is potentially host-graphic
-    (by the Yin–Li clique condition for order k on a prefix of length k
-    or 2k, by ``_split_holds`` on each leaf before its Erdős–Gallai test,
-    and by the same test on a greedy completion, which ends a loop over a
-    term at position k or later: a 2-switch that moves one unit between
-    two terms past the host's positions keeps the host, so every
-    completion that completion majorizes holds it too). h lies in that
-    host with a maximum independent set on the independent side, so every
-    realization containing the host contains h. Like Yin–Li, the skip
-    names no copy of h, so it is not a rule of the decision.
+    refutation. At each level it runs ``_extend_prefix`` once and decides
+    the raw tuples it keeps for the split host ``complete_split(k -
+    alpha, alpha)``; only the refutations become ``DegreeSequence``s. The
+    scan leaves out every sequence that is potentially host-graphic (by
+    the Yin–Li clique condition for order k on a prefix of length k or 2k,
+    by ``_split_holds`` on each leaf before its Erdős–Gallai test, and by
+    the same test on a greedy completion, which ends a loop over a term at
+    position k or later: a 2-switch that moves one unit between two terms
+    past the host's positions keeps the host, so every completion that
+    completion majorizes holds it too). h lies in that host with a
+    maximum independent set on the independent side, so every realization
+    containing the host contains h. Like Yin–Li, the skip names no copy
+    of h, so it is not a rule of the decision.
+
+    The dominating-head skip. For h with an edge, let v be its first
+    vertex of maximum degree, h' = h - v, and m = sigma(h', n-1), computed
+    by this function. At every level with total >= 2(n-1) + m the scan's
+    top frame takes d1 <= n-2. Proof that no refutation is lost: let d be
+    graphic of length n and sum total with d1 = n-1, and G a realization
+    of d. Vertex 0 of G is adjacent to every other vertex, so G - 0
+    realizes the lay-off d' = (d2-1, ..., dn-1), a graphic sequence of
+    length n-1 and sum total - 2(n-1) >= m. By the definition of sigma,
+    d' has a realization G' that contains h'. Join a vertex to every
+    vertex of G': this realizes d and contains h, with v on the
+    dominating vertex. So d is potentially h-graphic, which ``_decide``
+    finds by the same dominating-head rule, since h' is isomorphic to one
+    of ``_d1_classes(h)``.
+
+    Any vertex would do. One of maximum degree leaves the sparsest h',
+    whose sigma is usually the least over the classes (on the test corpus
+    at n <= 13 it always is), and one nested scan per call keeps the
+    nesting a chain of at most k scans. The least sigma over every class
+    would multiply the scans by the number of classes at each depth: up
+    to 207 calls for one 6-vertex pattern at n = 8. Edgeless h has no
+    refutation to lose and asks no nested scan, so the chain ends there.
     """
     if n > cap_n:
         raise CapExceededError(f"length {n} exceeds cap {cap_n}")
@@ -618,11 +685,15 @@ def sigma_exact(
         raise ValueError(f"length {n} below graph order {h.k}")
     alpha = independence_number(h)
     host = (h.k - alpha, alpha)
+    # the lowest sum from which no sequence with d1 = n - 1 can refute
+    settled = n * (n - 1) + 1
+    if h.edge_count():
+        v = h.degrees().index(h.max_degree())
+        settled = 2 * (n - 1) + sigma_exact(h.induced([u for u in range(h.k) if u != v]), n - 1, cap_n).value
     for total in range(n * (n - 1), -1, -2):
-        falses = tuple(
-            s for s in enumerate_graphic_sequences(n, total, host=host)
-            if not _decide(s.terms, h)
-        )
+        level: List[Tuple[int, ...]] = []
+        _extend_prefix([0] * n, n, total, host, h.k, 0, 0, n - 2 if total >= settled else n - 1, level)
+        falses = tuple(DegreeSequence(t) for t in level if not _decide(t, h))
         if falses:
             return SigmaExact(n=n, value=total + 2, extremal_sequences=falses)
     return SigmaExact(n=n, value=0, extremal_sequences=())

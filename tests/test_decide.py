@@ -8,10 +8,13 @@ witness. Both call ``oracle._full_search`` and its builder for the full
 placement search. The merged recursion must give the same answer, the
 same embedding (key order included) and the same realization edges on
 every graphic sequence of length at most 7, and each refutation must
-name the rule that a classification made here assigns it.
+name the rule that a classification made here assigns it. The reference
+recursion also checks that every sequence the σ scan's dominating-head
+skip leaves out is potential.
 """
 
-from conftest import corpus_patterns, yin_li
+from conftest import corpus, corpus_patterns, yin_li
+from potnum import oracle
 from potnum.graphs import SmallGraph, find_embedding
 from potnum.oracle import (
     Realization,
@@ -97,3 +100,32 @@ def test_decide_matches_reference_up_to_n7():
                 assert list(emb.items()) == list(want_emb.items()), (s, p)
                 assert real.graph.edges() == want_real.graph.edges(), (s, p)
     assert (len(patterns), calls) == (17, 8183)
+
+
+def test_dominating_head_skip_drops_only_potential_sequences(monkeypatch):
+    # sigma_exact starts its scan below d1 = n - 1 at each sum level from
+    # 2(n - 1) + sigma(H - v, n - 1) up, v a vertex of maximum degree.
+    # Every graphic sequence it thus skips must be potentially H-graphic by
+    # the reference recursion; the levels are read from the scan's top
+    # frames, not from sigma
+    scan = oracle._extend_prefix
+    skipped = []
+
+    def spy(terms, n, total, host, k, q, placed, bound, out):
+        if q == 0 and bound == n - 2 and n == length:
+            skipped.append(total)
+        scan(terms, n, total, host, k, q, placed, bound, out)
+
+    monkeypatch.setattr(oracle, "_extend_prefix", spy)
+    checked = 0
+    for name, h in corpus().items():
+        for length in range(h.k, 10):
+            skipped.clear()
+            oracle.sigma_exact(h, length)
+            assert skipped, (name, length)
+            for total in skipped:
+                for s in enumerate_graphic_sequences(length, total):
+                    if s.terms[0] == length - 1:
+                        checked += 1
+                        assert _reference_decide(s.terms, h), (name, s)
+    assert checked == 12155

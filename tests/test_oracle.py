@@ -502,29 +502,36 @@ def test_sigma_identity_n8_to_n11():
 
 
 def test_sigma_scan_leaf_count(monkeypatch):
-    # the Yin–Li subtree skip, the Erdős–Gallai prefix bound and the
-    # greedy-completion break change no answer, since the leaf tests drop
-    # what they skip, so only the work shows them: a lost prune raises the
-    # number of split tests. Each count is (leaf tests, greedy-completion
-    # tests): a frame tests the greedy completion of each value before it
-    # descends, and a leaf's own test is made in the loop that forces the
-    # last term (the caller's ``tail`` is 1 there, or not yet bound in a
-    # top frame of length 0 or 1). P4 (a host of order k = 4) meets the
-    # clique prune at length 2k = 8, so a lost 2k branch shows in it
+    # the Yin–Li subtree skip, the Erdős–Gallai prefix bound, the
+    # greedy-completion break, the skip of prefixes that fail the split
+    # test's fixed conditions and the dominating-head skip change no
+    # answer, since the leaf tests drop what they skip, so only the work
+    # shows them: a lost prune raises the number of split tests. Each count
+    # is (leaf tests, greedy-completion tests): a frame tests the greedy
+    # completion of each value before it descends, and a leaf's own test is
+    # made in the loop that forces the last term (the caller's ``tail`` is
+    # 1 there, or not yet bound in a top frame of length 0 or 1). The counts
+    # include the nested scans of sigma(H - v, n - 1) that the
+    # dominating-head skip asks for. P4 (a host of order k = 4) meets the
+    # clique prune at length 2k = 8; at n = 11, not at n = 10, a lost 2k
+    # branch shows in it
     counts = {}
     split = oracle._split_holds
 
     def counted(t, r, s):
-        counts[name][sys._getframe(1).f_locals.get("tail", 1) > 1] += 1
+        counts[key][sys._getframe(1).f_locals.get("tail", 1) > 1] += 1
         return split(t, r, s)
 
     monkeypatch.setattr(oracle, "_split_holds", counted)
-    for name, h in corpus().items():
-        counts[name] = [0, 0]
-        sigma_exact(h, 10)
-    assert {name: tuple(c) for name, c in counts.items()} == {
-        "K3": (0, 7), "K4": (0, 16), "C5": (178, 1576), "C6": (1026, 5240),
-        "P4": (10, 530), "K23": (184, 2150), "split23": (142, 1214), "friendship2": (178, 1576),
+    runs = [(name, h, 10) for name, h in corpus().items()] + [("P4", path_graph(4), 11)]
+    for name, h, n in runs:
+        key = (name, n)
+        counts[key] = [0, 0]
+        sigma_exact(h, n, cap_n=n)
+    assert {key: tuple(c) for key, c in counts.items()} == {
+        ("K3", 10): (0, 2), ("K4", 10): (0, 9), ("C5", 10): (14, 1101), ("C6", 10): (54, 3252),
+        ("P4", 10): (0, 408), ("K23", 10): (60, 1910), ("split23", 10): (27, 1003),
+        ("friendship2", 10): (14, 1101), ("P4", 11): (0, 630),
     }
 
 
