@@ -4,7 +4,7 @@ Exact potentially-H-graphic decisions, canonical realizations, and exact
 potential numbers. A potential number scans the sequences of each sum
 level with a depth-first recursion that collects the level's kept leaves
 in a list, prunes prefixes by an Erdős–Gallai bound and skips every
-subtree whose first k or 2k terms already satisfy the Yin–Li clique
+subtree whose first k terms already satisfy the Yin–Li clique
 condition. A frame holds a prefix with two terms or more still to place:
 the last term is forced by the sum, so the loop that places the term
 before it writes it and tests the leaf in place. Leaves get no Yin–Li
@@ -50,9 +50,7 @@ recursion decides a sequence. It tries these rules in order:
   of the sequence;
 * dominating heads (d1 = n-1) are stripped recursively, trading H for its
   one-vertex-deleted family, which keeps near-extremal sequences cheap;
-* the Havel–Hakimi fast path: H embeds in the canonical realization,
-  whose adjacency masks are built without a ``Realization`` until a
-  certificate is asked for;
+* the Havel–Hakimi fast path: H embeds in the canonical realization;
 * otherwise the full placement search: every automorphism-distinct copy
   of H is placed on every degree-distinct k-subset of positions, and the
   leftover demands are realized by backtracking edge assignment avoiding
@@ -146,17 +144,6 @@ class SigmaExact(NamedTuple):
 def canonical_realization(seq: DegreeSequence) -> Realization:
     """Havel–Hakimi construction: each pivot of maximum remaining demand
     connects to the next-highest demands; ties break toward lower index.
-    ``_havel_hakimi`` builds the adjacency masks; ``Realization`` checks
-    the degrees.
-    """
-    if not is_graphic(seq):
-        raise ValueError(f"sequence {seq.to_text()} is not graphic")
-    return Realization(graph=_from_masks(seq.n, _havel_hakimi(seq.terms)), sequence=seq)
-
-
-def _havel_hakimi(terms: Tuple[int, ...]) -> List[int]:
-    """The adjacency masks of ``canonical_realization`` for graphic
-    ``terms``, with no graph built and no graphic or degree check.
 
     Each step is one stable sort of the vertices by remaining demand,
     highest first, which orders them by (-demand, index): the pivot is
@@ -164,14 +151,17 @@ def _havel_hakimi(terms: Tuple[int, ...]) -> List[int]:
     adjacent to vertices 1..d1, so the maximum-degree vertex is adjacent
     to the d1 highest-degree others.
 
-    The masks are not checked edge by edge: a pivot's targets are other
-    vertices of positive demand, and its own demand is then zero, so no
-    loop or repeated edge can arise.
+    The adjacency masks are built in the loop and not checked edge by
+    edge: a pivot's targets are other vertices of positive demand, and its
+    own demand is then zero, so no loop or repeated edge can arise.
+    ``Realization`` still checks the degrees.
     """
-    n = len(terms)
+    if not is_graphic(seq):
+        raise ValueError(f"sequence {seq.to_text()} is not graphic")
+    n = seq.n
     if n > MAX_VERTICES:
         raise CapExceededError(f"realization on {n} vertices exceeds cap {MAX_VERTICES}")
-    rem = list(terms)
+    rem = list(seq.terms)
     adj = [0] * n
     for _ in range(n):  # each step zeroes the pivot's demand
         order = sorted(range(n), key=rem.__getitem__, reverse=True)
@@ -186,7 +176,7 @@ def _havel_hakimi(terms: Tuple[int, ...]) -> List[int]:
             adj[v] |= 1 << u
             rem[v] -= 1
         rem[u] = 0
-    return adj
+    return Realization(graph=_from_masks(n, adj), sequence=seq)
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +396,10 @@ def _decide(terms: Tuple[int, ...], h: SmallGraph) -> _Decision:
 
             return lift
         return Refutation("dominating_head", *map(sum, zip(*(r[1:] for r in refuted))))
-    graph = _from_masks(n, _havel_hakimi(terms))
-    emb = find_embedding(h, graph)
+    real = canonical_realization(DegreeSequence(terms))
+    emb = find_embedding(h, real.graph)
     if emb is not None:
-        return lambda: (emb, Realization(graph=graph, sequence=DegreeSequence(terms)))
+        return lambda: (emb, real)
     return _full_search(terms, h)
 
 
@@ -448,27 +438,34 @@ def potentially(
 
 
 def enumerate_graphic_sequences(
-    n: int, total: Optional[int] = None, *, host: Optional[Tuple[int, int]] = None
+    n: int,
+    total: Optional[int] = None,
+    *,
+    host: Optional[Tuple[int, int]] = None,
+    max_term: Optional[int] = None,
 ) -> Iterator[DegreeSequence]:
-    """All nonincreasing graphic sequences of length n (terms <= n-1).
+    """All nonincreasing graphic sequences of length n (terms <= n-1), or
+    only those whose terms are at most ``max_term``, a nonnegative int.
 
     With ``total`` fixed, only sequences of that sum are produced, in
     lexicographically decreasing order. Without it, sums descend from
     n(n-1) to 0. Each sum level is built in full by ``_extend_prefix``
-    before its first sequence is yielded, so a consumer that stops early
-    has still paid for the whole level.
+    before its first sequence is yielded, so the memory held is that of
+    the largest level, and a consumer that stops early has still paid for
+    the whole level.
 
     With a split host ``(r, s)``, the sequences that are potentially
     ``complete_split(r, s)``-graphic are left out, in the same order
     otherwise: every graph the host contains is potentially contained in
     them, so none can refute. Subtrees are skipped as soon as the first
-    r+s or 2(r+s) terms settle the Yin–Li condition for the clique
-    K_{r+s}, which contains the host, and a loop over a term at position
-    r+s or later ends at the first value whose greedy completion passes
+    r+s terms settle the Yin–Li condition for the clique K_{r+s}, which
+    contains the host, and a loop over a term at position r+s or later
+    ends at the first value whose greedy completion passes
     ``_split_holds``: by the 2-switch lemma of the module docstring, every
     sequence it skips is potentially host-graphic too. Each leaf meets
     only ``_split_holds``, then its Erdős–Gallai test. ``host`` must be a
-    pair of nonnegative ints; anything else raises ``ValueError``.
+    pair of nonnegative ints; anything else raises ``ValueError``, as
+    does a ``max_term`` that is not a nonnegative int.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
@@ -476,14 +473,17 @@ def enumerate_graphic_sequences(
         isinstance(host, tuple) and len(host) == 2 and all(isinstance(x, int) and x >= 0 for x in host)
     ):
         raise ValueError("host must be a pair of nonnegative ints")
+    if max_term is not None and not (isinstance(max_term, int) and max_term >= 0):
+        raise ValueError("max_term must be a nonnegative int")
     if total is not None:
         totals = [total] if total % 2 == 0 and 0 <= total <= n * (n - 1) else []
     else:
         totals = list(range(n * (n - 1), -1, -2))
     k = sum(host) if host else 0
+    bound = max(n - 1, 0) if max_term is None else min(max_term, max(n - 1, 0))
     for s in totals:
         level: List[Tuple[int, ...]] = []
-        _extend_prefix([0] * n, n, s, host, k, 0, 0, max(n - 1, 0), level)
+        _extend_prefix([0] * n, n, s, host, k, 0, 0, bound, level)
         yield from map(DegreeSequence, level)
 
 
@@ -507,14 +507,14 @@ def _extend_prefix(
 
     A prefix is dropped when its sum exceeds q(q-1) + min(r, (n-q) min(q, dq)),
     r being the sum still to place: no completion then meets the
-    Erdős–Gallai inequality at q. A prefix that meets the Yin–Li condition
-    for K_k, which contains the host, is dropped too, since the condition
-    then holds for every completion. Its first clause, d_k >= k-1 and
-    d_i >= 2(k-1)-i for every i <= k-2, reads only the first k terms; its
-    second, d_k >= k-1 and d_2k >= k-2, the first 2k. The frame that places
-    term k or term 2k finds the earlier terms fixed, so it lowers the
-    range of that term below the values that would meet the condition. At
-    length 2k only d_2k is new: the prefix failed the first clause at k.
+    Erdős–Gallai inequality at q. A prefix that meets the first clause of
+    the Yin–Li condition for K_k, which contains the host, is dropped too,
+    since the clause then holds for every completion: d_k >= k-1 and
+    d_i >= 2(k-1)-i for every i <= k-2 read only the first k terms. The
+    frame that places term k finds the earlier terms fixed, so it lowers
+    the range of that term below the values that would meet the clause.
+    The second clause, d_k >= k-1 and d_2k >= k-2, gets no prune of its
+    own: the leaf's split test settles what it would skip.
 
     The last term is forced: it is the sum still to place, and the range
     of the term before it, from ceil(r/2) to min(bound, r), keeps it
@@ -539,12 +539,11 @@ def _extend_prefix(
     value, whose greedy completion is its parent's for the value the
     parent placed, skips the test when the parent, at q - 1 >= k, made it.
 
-    At q >= k the first k terms are fixed. When they fail the split
-    test's first checks, d_r >= k-1 or d_k >= r for ``host`` (r, s), every
-    completion fails it too, so the frame drops the host: it and its
-    subtree, to which it passes None for the host and the same k, make
-    neither greedy nor leaf split tests. The clique prune keeps k and
-    cannot fire there, since a prefix that meets it meets those checks.
+    At q = k the first k terms are fixed. When they fail ``_split_heads``,
+    the split test's first check, every completion fails the test too, so
+    the frame drops the host: it and its subtree, to which it passes None
+    for the host and the same k, make neither greedy nor leaf split tests.
+    A deeper frame that still holds the host has passed the check.
     """
     r = total - placed
     slots = n - q
@@ -562,18 +561,13 @@ def _extend_prefix(
     tested = top if q > k else -1
     if q1 == k and top > k - 2 and all(terms[i] >= 2 * k - 3 - i for i in range(k - 2)):
         top = k - 2
-    elif q1 == 2 * k and top > k - 3 and terms[k - 1] >= k - 1:
-        top = k - 3
     base = q1 * (q1 - 1)
     tail = slots - 1
-    greedy = False
-    if host and q >= k:
-        hr, hs = host
-        if (hr and terms[hr - 1] < k - 1) or (hs and terms[k - 1] < hr):
-            host = None  # no completion of this prefix holds the host
-        else:
-            greedy = True
-            head = tuple(terms[:q])
+    if host and q == k and not _split_heads(terms, *host):
+        host = None  # no completion of this prefix holds the host
+    greedy = host and q >= k
+    if greedy:
+        head = tuple(terms[:q])
     for d in range(top, -(-r // slots) - 1, -1):
         s = placed + d
         rest = total - s
@@ -598,16 +592,27 @@ def _extend_prefix(
             out.append(leaf)
 
 
+def _split_heads(terms: Sequence[int], r: int, s: int) -> bool:
+    """The split test's conditions on the host's own positions, for
+    nonincreasing ``terms`` of length r+s or more: d_r >= r+s-1 (each
+    clique vertex reaches the rest of the host) and d_{r+s} >= r (each
+    independent vertex reaches the clique). They read the first r+s terms
+    only, so once those are placed, a prefix that fails them fails
+    ``_split_holds`` in every completion."""
+    return not ((r and terms[r - 1] < r + s - 1) or (s and terms[r + s - 1] < r))
+
+
 def _split_holds(terms: Tuple[int, ...], r: int, s: int) -> bool:
     """Does ``terms`` (nonincreasing, terms >= 0) have a realization that
     contains ``complete_split(r, s)``? True only if one is found, which
     also proves ``terms`` graphic.
 
     The clique goes on positions 0..r-1 and is joined to positions
-    r..r+s-1. Each clique vertex in turn lays off its leftover demand,
-    d_i - (r+s-1), onto the largest remaining terms past position r+s,
-    which are re-sorted after each vertex. The answer is the graphicity
-    of what is left on positions r.. (the s terms less r, then the rest).
+    r..r+s-1, whose terms must pass ``_split_heads``. Each clique vertex
+    in turn lays off its leftover demand, d_i - (r+s-1), onto the largest
+    remaining terms past position r+s, which are re-sorted after each
+    vertex. The answer is the graphicity of what is left on positions r..
+    (the s terms less r, then the rest).
 
     Sound by construction: any realization of that residual, plus the
     clique, join and layoff edges placed here, is a simple realization of
@@ -617,7 +622,7 @@ def _split_holds(terms: Tuple[int, ...], r: int, s: int) -> bool:
     against ``_decide``, not assumed.
     """
     m = r + s
-    if len(terms) < m or (r and terms[r - 1] < m - 1) or (s and terms[m - 1] < r):
+    if len(terms) < m or not _split_heads(terms, r, s):
         return False
     rest = list(terms[m:])
     for d in terms[:r]:
@@ -641,28 +646,27 @@ def sigma_exact(
     h-graphic; also returns every maximizing non-potential sequence.
 
     Scans sums downward and stops at the first level carrying a
-    refutation. At each level it runs ``_extend_prefix`` once and decides
-    the raw tuples it keeps for the split host ``complete_split(k -
-    alpha, alpha)``; only the refutations become ``DegreeSequence``s. The
-    scan leaves out every sequence that is potentially host-graphic (by
-    the Yin–Li clique condition for order k on a prefix of length k or 2k,
-    by ``_split_holds`` on each leaf before its Erdős–Gallai test, and by
-    the same test on a greedy completion, which ends a loop over a term at
-    position k or later: a 2-switch that moves one unit between two terms
-    past the host's positions keeps the host, so every completion that
-    completion majorizes holds it too). h lies in that host with a
-    maximum independent set on the independent side, so every realization
-    containing the host contains h. Like Yin–Li, the skip names no copy
-    of h, so it is not a rule of the decision.
+    refutation. At each level it decides the graphic sequences that the
+    enumerator keeps for the split host ``complete_split(k - alpha,
+    alpha)``: it leaves out every sequence that is potentially host-graphic
+    (by the Yin–Li clique condition for order k on a prefix of length k,
+    by ``_split_holds`` on each leaf before its Erdős–Gallai test,
+    and by the same test on a greedy completion, which ends a loop over a
+    term at position k or later: a 2-switch that moves one unit between
+    two terms past the host's positions keeps the host, so every
+    completion that completion majorizes holds it too). h lies in that
+    host with a maximum independent set on the independent side, so every
+    realization containing the host contains h. Like Yin–Li, the skip
+    names no copy of h, so it is not a rule of the decision.
 
     The dominating-head skip. For h with an edge, let v be its first
     vertex of maximum degree, h' = h - v, and m = sigma(h', n-1), computed
-    by this function. At every level with total >= 2(n-1) + m the scan's
-    top frame takes d1 <= n-2. Proof that no refutation is lost: let d be
-    graphic of length n and sum total with d1 = n-1, and G a realization
-    of d. Vertex 0 of G is adjacent to every other vertex, so G - 0
-    realizes the lay-off d' = (d2-1, ..., dn-1), a graphic sequence of
-    length n-1 and sum total - 2(n-1) >= m. By the definition of sigma,
+    by this function. At every level with total >= 2(n-1) + m the scan
+    keeps to d1 <= n-2 (``max_term``). Proof that no refutation is lost:
+    let d be graphic of length n and sum total with d1 = n-1, and G a
+    realization of d. Vertex 0 of G is adjacent to every other vertex, so
+    G - 0 realizes the lay-off d' = (d2-1, ..., dn-1), a graphic sequence
+    of length n-1 and sum total - 2(n-1) >= m. By the definition of sigma,
     d' has a realization G' that contains h'. Join a vertex to every
     vertex of G': this realizes d and contains h, with v on the
     dominating vertex. So d is potentially h-graphic, which ``_decide``
@@ -691,9 +695,11 @@ def sigma_exact(
         v = h.degrees().index(h.max_degree())
         settled = 2 * (n - 1) + sigma_exact(h.induced([u for u in range(h.k) if u != v]), n - 1, cap_n).value
     for total in range(n * (n - 1), -1, -2):
-        level: List[Tuple[int, ...]] = []
-        _extend_prefix([0] * n, n, total, host, h.k, 0, 0, n - 2 if total >= settled else n - 1, level)
-        falses = tuple(DegreeSequence(t) for t in level if not _decide(t, h))
+        max_term = n - 2 if total >= settled else None
+        falses = tuple(
+            s for s in enumerate_graphic_sequences(n, total, host=host, max_term=max_term)
+            if not _decide(s.terms, h)
+        )
         if falses:
             return SigmaExact(n=n, value=total + 2, extremal_sequences=falses)
     return SigmaExact(n=n, value=0, extremal_sequences=())

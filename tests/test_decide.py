@@ -103,20 +103,20 @@ def test_decide_matches_reference_up_to_n7():
 
 
 def test_dominating_head_skip_drops_only_potential_sequences(monkeypatch):
-    # sigma_exact starts its scan below d1 = n - 1 at each sum level from
+    # sigma_exact keeps its scan to d1 <= n - 2 at each sum level from
     # 2(n - 1) + sigma(H - v, n - 1) up, v a vertex of maximum degree.
     # Every graphic sequence it thus skips must be potentially H-graphic by
-    # the reference recursion; the levels are read from the scan's top
-    # frames, not from sigma
-    scan = oracle._extend_prefix
+    # the reference recursion; the levels are read from the enumerator
+    # calls of the scan, not from sigma
+    scan = oracle.enumerate_graphic_sequences
     skipped = []
 
-    def spy(terms, n, total, host, k, q, placed, bound, out):
-        if q == 0 and bound == n - 2 and n == length:
+    def spy(n, total, *, host, max_term):
+        if max_term is not None and n == length:
             skipped.append(total)
-        scan(terms, n, total, host, k, q, placed, bound, out)
+        return scan(n, total, host=host, max_term=max_term)
 
-    monkeypatch.setattr(oracle, "_extend_prefix", spy)
+    monkeypatch.setattr(oracle, "enumerate_graphic_sequences", spy)
     checked = 0
     for name, h in corpus().items():
         for length in range(h.k, 10):

@@ -328,6 +328,8 @@ def test_enumerate_matches_reference_with_and_without_clique_skip():
     # prefix skip or by the leaf's split test; with r + s = 6 (C6's host is
     # (3, 3)) at n = 6 only the split test, in the loop that forces the
     # last term, settles a leaf that meets the Yin–Li condition
+    # ``max_term`` keeps exactly the sequences whose first term is at most
+    # it, with or without a host
     hosts = [(r, m - r, complete_split(r, m - r)) for m in range(7) for r in range(m + 1)]
     for n in range(9):
         for total in range(0, n * (n - 1) + 1, 2):
@@ -336,6 +338,14 @@ def test_enumerate_matches_reference_with_and_without_clique_skip():
             for r, t, host in hosts:
                 kept = [s for s in want if not _decide(s.terms, host)]
                 assert list(enumerate_graphic_sequences(n, total, host=(r, t))) == kept, (n, total, r, t)
+                if r + t in (3, 6):
+                    for top in range(n):
+                        low = [s for s in kept if max(s, default=0) <= top]
+                        got = list(enumerate_graphic_sequences(n, total, host=(r, t), max_term=top))
+                        assert got == low, (n, total, r, t, top)
+            for top in range(n + 1):
+                low = [s for s in want if max(s, default=0) <= top]
+                assert list(enumerate_graphic_sequences(n, total, max_term=top)) == low, (n, total, top)
 
 
 def test_enumerate_fixed_sum_order_is_lex_decreasing():
@@ -377,6 +387,12 @@ def test_enumerate_edge_cases():
     for host in ((-1, 2), (2, -1), (1,), (1, 1, 1), (2.0, 1), [2, 1], 3):
         with pytest.raises(ValueError):
             list(enumerate_graphic_sequences(5, host=host))
+    for max_term in (-1, 2.0, "3"):
+        with pytest.raises(ValueError):
+            list(enumerate_graphic_sequences(5, max_term=max_term))
+    assert terms(0, max_term=0) == [()]
+    assert terms(1, max_term=0) == [(0,)]
+    assert terms(2, max_term=0) == [(0, 0)]
 
 
 # --- exact potential numbers ---------------------------------------------------------
@@ -503,35 +519,30 @@ def test_sigma_identity_n8_to_n11():
 
 def test_sigma_scan_leaf_count(monkeypatch):
     # the Yin–Li subtree skip, the Erdős–Gallai prefix bound, the
-    # greedy-completion break, the skip of prefixes that fail the split
-    # test's fixed conditions and the dominating-head skip change no
-    # answer, since the leaf tests drop what they skip, so only the work
-    # shows them: a lost prune raises the number of split tests. Each count
-    # is (leaf tests, greedy-completion tests): a frame tests the greedy
-    # completion of each value before it descends, and a leaf's own test is
-    # made in the loop that forces the last term (the caller's ``tail`` is
-    # 1 there, or not yet bound in a top frame of length 0 or 1). The counts
-    # include the nested scans of sigma(H - v, n - 1) that the
-    # dominating-head skip asks for. P4 (a host of order k = 4) meets the
-    # clique prune at length 2k = 8; at n = 11, not at n = 10, a lost 2k
-    # branch shows in it
+    # greedy-completion break, the skip of prefixes that fail
+    # ``_split_heads`` and the dominating-head skip change no answer,
+    # since the leaf tests drop what they skip, so only the work shows
+    # them: a lost prune raises the number of split tests. Each count is
+    # (leaf tests, greedy-completion tests): a frame tests the greedy
+    # completion of each value before it descends, and a leaf's own test
+    # is made in the loop that forces the last term (the caller's ``tail``
+    # is 1 there, or not yet bound in a top frame of length 0 or 1). The
+    # counts include the nested scans of sigma(H - v, n - 1) that the
+    # dominating-head skip asks for
     counts = {}
     split = oracle._split_holds
 
     def counted(t, r, s):
-        counts[key][sys._getframe(1).f_locals.get("tail", 1) > 1] += 1
+        counts[name][sys._getframe(1).f_locals.get("tail", 1) > 1] += 1
         return split(t, r, s)
 
     monkeypatch.setattr(oracle, "_split_holds", counted)
-    runs = [(name, h, 10) for name, h in corpus().items()] + [("P4", path_graph(4), 11)]
-    for name, h, n in runs:
-        key = (name, n)
-        counts[key] = [0, 0]
-        sigma_exact(h, n, cap_n=n)
-    assert {key: tuple(c) for key, c in counts.items()} == {
-        ("K3", 10): (0, 2), ("K4", 10): (0, 9), ("C5", 10): (14, 1101), ("C6", 10): (54, 3252),
-        ("P4", 10): (0, 408), ("K23", 10): (60, 1910), ("split23", 10): (27, 1003),
-        ("friendship2", 10): (14, 1101), ("P4", 11): (0, 630),
+    for name, h in corpus().items():
+        counts[name] = [0, 0]
+        sigma_exact(h, 10)
+    assert {name: tuple(c) for name, c in counts.items()} == {
+        "K3": (0, 2), "K4": (0, 9), "C5": (14, 1101), "C6": (54, 3252),
+        "P4": (0, 408), "K23": (60, 1910), "split23": (27, 1003), "friendship2": (14, 1101),
     }
 
 
