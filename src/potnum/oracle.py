@@ -36,15 +36,19 @@ unit moves, so every sequence the break skips is potentially host-graphic
 and cannot refute. Where the split test is exact, the enumerator's
 output is the same with or without the break.
 
-At the sum levels from 2(n-1) + sigma(H - v, n-1) up, v a vertex of
-maximum degree, the scan starts below d1 = n-1: the lay-off of a sequence
-with a dominating head is then potentially (H - v)-graphic, so the
-dominating-head rule below accepts the sequence (``sigma_exact`` gives
-the proof).
+A potential number is found by induction on the length: sigma(H, m) at
+each length m from k up gives the next. Laying off the smallest term of
+a sequence of length m and sum S gives a graphic sequence of length m-1
+and sum S - 2d_m, which is potentially H-graphic once that sum reaches
+sigma(H, m-1), and then so is the sequence. So at sum S only sequences
+with d_m >= (S - sigma(H, m-1))/2 + 1 can refute; the enumerator leaves
+out the rest, and a level where no sequence meets that bound is not
+scanned at all (``sigma_exact`` gives the proof).
 
-Yin–Li and the split test only prune that scan. Neither is a decision
-rule: they name no copy of H, and a true answer must carry one. One
-recursion decides a sequence. It tries these rules in order:
+Yin–Li, the split test and the smallest-term bound only prune that
+scan. None is a decision rule: they name no copy of H, and a true answer
+must carry one. One recursion decides a sequence. It tries these rules
+in order:
 
 * the degree pre-check: the sorted degrees of H must fit under the head
   of the sequence;
@@ -71,7 +75,7 @@ order cap, k <= 8, is fixed. Exceeding either raises, never truncates.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby, permutations
+from itertools import groupby, islice, permutations
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .graphs import (
@@ -442,10 +446,11 @@ def enumerate_graphic_sequences(
     total: Optional[int] = None,
     *,
     host: Optional[Tuple[int, int]] = None,
-    max_term: Optional[int] = None,
+    min_term: Optional[int] = None,
 ) -> Iterator[DegreeSequence]:
     """All nonincreasing graphic sequences of length n (terms <= n-1), or
-    only those whose terms are at most ``max_term``, a nonnegative int.
+    only those whose terms are all at least ``min_term``, a nonnegative
+    int (the smallest-term bound of ``sigma_exact``).
 
     With ``total`` fixed, only sequences of that sum are produced, in
     lexicographically decreasing order. Without it, sums descend from
@@ -465,7 +470,7 @@ def enumerate_graphic_sequences(
     sequence it skips is potentially host-graphic too. Each leaf meets
     only ``_split_holds``, then its Erdős–Gallai test. ``host`` must be a
     pair of nonnegative ints; anything else raises ``ValueError``, as
-    does a ``max_term`` that is not a nonnegative int.
+    does a ``min_term`` that is not a nonnegative int.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
@@ -473,17 +478,17 @@ def enumerate_graphic_sequences(
         isinstance(host, tuple) and len(host) == 2 and all(isinstance(x, int) and x >= 0 for x in host)
     ):
         raise ValueError("host must be a pair of nonnegative ints")
-    if max_term is not None and not (isinstance(max_term, int) and max_term >= 0):
-        raise ValueError("max_term must be a nonnegative int")
+    if min_term is not None and not (isinstance(min_term, int) and min_term >= 0):
+        raise ValueError("min_term must be a nonnegative int")
     if total is not None:
         totals = [total] if total % 2 == 0 and 0 <= total <= n * (n - 1) else []
     else:
         totals = list(range(n * (n - 1), -1, -2))
     k = sum(host) if host else 0
-    bound = max(n - 1, 0) if max_term is None else min(max_term, max(n - 1, 0))
+    least = min_term or 0
     for s in totals:
         level: List[Tuple[int, ...]] = []
-        _extend_prefix([0] * n, n, s, host, k, 0, 0, bound, level)
+        _extend_prefix([0] * n, n, s, host, k, 0, 0, max(n - 1, 0), least, level)
         yield from map(DegreeSequence, level)
 
 
@@ -496,18 +501,27 @@ def _extend_prefix(
     q: int,
     placed: int,
     bound: int,
+    least: int,
     out: List[Tuple[int, ...]],
 ) -> None:
     """Depth-first over nonincreasing prefixes d1..dq, largest term first:
     appends to ``out``, as tuples in lexicographically decreasing order,
     the graphic sequences of sum ``total`` below the prefix ``terms[:q]``
-    of sum ``placed``, whose next term is at most ``bound``, less those
-    that hold the split ``host`` of order ``k`` (0 without a host). Writes
-    terms q.. of ``terms`` in place. Each frame is one plain call.
+    of sum ``placed``, whose next term is at most ``bound`` and whose
+    terms from q on are all at least ``least``, less those that hold the
+    split ``host`` of order ``k`` (0 without a host). Writes terms q.. of
+    ``terms`` in place. Each frame is one plain call.
 
-    A prefix is dropped when its sum exceeds q(q-1) + min(r, (n-q) min(q, dq)),
-    r being the sum still to place: no completion then meets the
-    Erdős–Gallai inequality at q. A prefix that meets the first clause of
+    The loop over term q runs from min(bound, r, r - (slots-1) least)
+    down to ceil(r/slots), r being the sum still to place and slots the
+    terms still to place: the terms after it are at most it and at least
+    ``least``. No value below ``least`` lies in that range: d >= r/slots
+    gives r - (slots-1) least <= slots d - (slots-1) least, which is
+    below d when d < least. A top frame with one slot, whose term is r,
+    drops it when r < ``least``.
+
+    A prefix is dropped when its sum exceeds q(q-1) + min(r, (n-q) min(q, dq)):
+    no completion then meets the Erdős–Gallai inequality at q. A prefix that meets the first clause of
     the Yin–Li condition for K_k, which contains the host, is dropped too,
     since the clause then holds for every completion: d_k >= k-1 and
     d_i >= 2(k-1)-i for every i <= k-2 read only the first k terms. The
@@ -517,11 +531,11 @@ def _extend_prefix(
     own: the leaf's split test settles what it would skip.
 
     The last term is forced: it is the sum still to place, and the range
-    of the term before it, from ceil(r/2) to min(bound, r), keeps it
-    between 0 and that term. So the loop that places term n-1 writes term
-    n itself and tests the leaf there, with no frame of its own:
-    ``_split_holds``, whose True drops the leaf and proves it graphic, and
-    only then the exact Erdős–Gallai test. Every frame thus has two slots
+    of the term before it, from ceil(r/2) to min(bound, r - least), keeps
+    it between ``least`` and that term. So the loop that
+    places term n-1 writes term n itself and tests the leaf there, with no
+    frame of its own: ``_split_holds``, whose True drops the leaf and
+    proves it graphic, and only then the exact Erdős–Gallai test. Every frame thus has two slots
     or more to fill, except a top frame of length 0 or 1, which tests its
     one leaf the same way. A leaf gets no Yin–Li test: one that meets it
     is potentially K_k-graphic, so the exact split test accepts it.
@@ -530,14 +544,16 @@ def _extend_prefix(
     tests before it descends into value d the greedy completion g(d): the
     prefix, d repeated r // d times, the remainder, then zeros. When
     ``_split_holds(g(d))`` holds the frame returns: every completion with
-    a value of at most d here has a tail that g(d)'s tail majorizes, and
-    the unit moves that lead from one to the other are 2-switches that
-    never touch a host edge (module docstring), so each is potentially
-    host-graphic. In the loop that forces the last term g(d) is the leaf
+    a value of at most d here, whatever its smallest term, has a tail that
+    g(d)'s tail majorizes, and the unit moves that lead from one to the
+    other are 2-switches that never touch a host edge (module docstring),
+    so each is potentially host-graphic. In the loop that forces the last term g(d) is the leaf
     itself, so the first leaf that passes the split test ends that loop.
     The values before the first passing one fail, so a child's first
     value, whose greedy completion is its parent's for the value the
     parent placed, skips the test when the parent, at q - 1 >= k, made it.
+    That completion is the one for the top before the clique prune and
+    the bound ``least`` lower it; once either has, no value skips the test.
 
     At q = k the first k terms are fixed. When they fail ``_split_heads``,
     the split test's first check, every completion fails the test too, so
@@ -548,6 +564,8 @@ def _extend_prefix(
     r = total - placed
     slots = n - q
     if slots < 2:
+        if slots and r < least:
+            return
         terms[q:] = [r] * slots
         leaf = tuple(terms)
         if not (host and _split_holds(leaf, *host)) and _graphic_desc(leaf):
@@ -557,10 +575,13 @@ def _extend_prefix(
     top = bound if bound < r else r
     # a parent at q - 1 >= k has tested, and found failing, the greedy
     # completion of the value it placed: this frame's for the top before
-    # the clique prune lowers it
+    # the clique prune and the bound on the terms after this one lower it
     tested = top if q > k else -1
     if q1 == k and top > k - 2 and all(terms[i] >= 2 * k - 3 - i for i in range(k - 2)):
         top = k - 2
+    cut = r - (slots - 1) * least  # leave ``least`` for each later term
+    if cut < top:
+        top = cut
     base = q1 * (q1 - 1)
     tail = slots - 1
     if host and q == k and not _split_heads(terms, *host):
@@ -580,7 +601,7 @@ def _extend_prefix(
                 m = r // d if d else slots
                 if _split_holds(head + (d,) * m + (r - m * d,) * (m < slots) + (0,) * (slots - m - 1), *host):
                     return
-            _extend_prefix(terms, n, total, host, k, q1, s, d, out)
+            _extend_prefix(terms, n, total, host, k, q1, s, d, least, out)
             continue
         terms[q1] = rest
         leaf = tuple(terms)
@@ -645,41 +666,39 @@ def sigma_exact(
     graphic sequence of length n with at least that sum is potentially
     h-graphic; also returns every maximizing non-potential sequence.
 
-    Scans sums downward and stops at the first level carrying a
-    refutation. At each level it decides the graphic sequences that the
-    enumerator keeps for the split host ``complete_split(k - alpha,
-    alpha)``: it leaves out every sequence that is potentially host-graphic
-    (by the Yin–Li clique condition for order k on a prefix of length k,
-    by ``_split_holds`` on each leaf before its Erdős–Gallai test,
-    and by the same test on a greedy completion, which ends a loop over a
-    term at position k or later: a 2-switch that moves one unit between
-    two terms past the host's positions keeps the host, so every
-    completion that completion majorizes holds it too). h lies in that
-    host with a maximum independent set on the independent side, so every
-    realization containing the host contains h. Like Yin–Li, the skip
-    names no copy of h, so it is not a rule of the decision.
+    Computes sigma at every length m from k to n in turn, each from the
+    one before. At each length it scans sums downward and stops at the
+    first level carrying a refutation; sigma is 2 more than that sum.
+    Below n it stops at the first refutation, since only sigma is needed
+    there; at n it collects every refutation of that level. At each level
+    it decides the graphic sequences that the enumerator keeps for the
+    split host ``complete_split(k - alpha, alpha)``: it leaves out every
+    sequence that is potentially host-graphic (by the Yin–Li clique
+    condition for order k on a prefix of length k, by ``_split_holds`` on
+    each leaf before its Erdős–Gallai test, and by the same test on a
+    greedy completion, which ends a loop over a term at position k or
+    later: a 2-switch that moves one unit between two terms past the
+    host's positions keeps the host, so every completion that completion
+    majorizes holds it too). h lies in that host with a maximum
+    independent set on the independent side, so every realization
+    containing the host contains h. Like Yin–Li, the skip names no copy
+    of h, so it is not a rule of the decision.
 
-    The dominating-head skip. For h with an edge, let v be its first
-    vertex of maximum degree, h' = h - v, and m = sigma(h', n-1), computed
-    by this function. At every level with total >= 2(n-1) + m the scan
-    keeps to d1 <= n-2 (``max_term``). Proof that no refutation is lost:
-    let d be graphic of length n and sum total with d1 = n-1, and G a
-    realization of d. Vertex 0 of G is adjacent to every other vertex, so
-    G - 0 realizes the lay-off d' = (d2-1, ..., dn-1), a graphic sequence
-    of length n-1 and sum total - 2(n-1) >= m. By the definition of sigma,
-    d' has a realization G' that contains h'. Join a vertex to every
-    vertex of G': this realizes d and contains h, with v on the
-    dominating vertex. So d is potentially h-graphic, which ``_decide``
-    finds by the same dominating-head rule, since h' is isomorphic to one
-    of ``_d1_classes(h)``.
-
-    Any vertex would do. One of maximum degree leaves the sparsest h',
-    whose sigma is usually the least over the classes (on the test corpus
-    at n <= 13 it always is), and one nested scan per call keeps the
-    nesting a chain of at most k scans. The least sigma over every class
-    would multiply the scans by the number of classes at each depth: up
-    to 207 calls for one 6-vertex pattern at n = 8. Edgeless h has no
-    refutation to lose and asks no nested scan, so the chain ends there.
+    The smallest-term skip. Let d be graphic of length m, with sum S and
+    smallest term t = d_m, and let sigma' = sigma(h, m-1). Laying t off
+    onto the t largest other terms gives d', graphic by the Kleitman–Wang
+    theorem, of length m-1 and sum S - 2t. If S - 2t >= sigma', then d'
+    has a realization G' that contains h, by the definition of sigma. Add
+    a vertex joined to the t vertices lowered by the lay-off: that
+    realizes d and still contains h. So at sum S only sequences with
+    d_m >= (S - sigma')/2 + 1 can refute, and the scan asks the
+    enumerator for those alone (``min_term``). A level where m times that
+    bound exceeds S holds no sequence that can refute, and it is skipped
+    without an enumerator call. By the linear growth of sigma in n, few
+    levels lie between sigma' and sigma, so each length scans only a
+    few. At m = k, sigma(h, k-1) is taken as (k-1)(k-2) + 2: no sequence
+    shorter than h is potentially h-graphic, so it is one level above
+    every sum of that length, and the bound keeps every graphic sequence.
     """
     if n > cap_n:
         raise CapExceededError(f"length {n} exceeds cap {cap_n}")
@@ -689,17 +708,20 @@ def sigma_exact(
         raise ValueError(f"length {n} below graph order {h.k}")
     alpha = independence_number(h)
     host = (h.k - alpha, alpha)
-    # the lowest sum from which no sequence with d1 = n - 1 can refute
-    settled = n * (n - 1) + 1
-    if h.edge_count():
-        v = h.degrees().index(h.max_degree())
-        settled = 2 * (n - 1) + sigma_exact(h.induced([u for u in range(h.k) if u != v]), n - 1, cap_n).value
-    for total in range(n * (n - 1), -1, -2):
-        max_term = n - 2 if total >= settled else None
-        falses = tuple(
-            s for s in enumerate_graphic_sequences(n, total, host=host, max_term=max_term)
-            if not _decide(s.terms, h)
-        )
-        if falses:
-            return SigmaExact(n=n, value=total + 2, extremal_sequences=falses)
-    return SigmaExact(n=n, value=0, extremal_sequences=())
+    k = h.k
+    value, falses = (k - 1) * (k - 2) + 2, ()  # sigma(h, k - 1)
+    for m in range(k, n + 1):
+        prev, value, falses = value, 0, ()
+        for total in range(m * (m - 1), -1, -2):
+            least = max((total - prev) // 2 + 1, 0)
+            if m * least > total:
+                continue  # every sequence of this sum lays off onto a potential one
+            refuted = (
+                s for s in enumerate_graphic_sequences(m, total, host=host, min_term=least)
+                if not _decide(s.terms, h)
+            )
+            falses = tuple(refuted) if m == n else tuple(islice(refuted, 1))
+            if falses:
+                value = total + 2
+                break
+    return SigmaExact(n=n, value=value, extremal_sequences=falses)

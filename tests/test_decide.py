@@ -9,7 +9,7 @@ placement search. The merged recursion must give the same answer, the
 same embedding (key order included) and the same realization edges on
 every graphic sequence of length at most 7, and each refutation must
 name the rule that a classification made here assigns it. The reference
-recursion also checks that every sequence the σ scan's dominating-head
+recursion also checks that every sequence the σ scan's smallest-term
 skip leaves out is potential.
 """
 
@@ -102,30 +102,33 @@ def test_decide_matches_reference_up_to_n7():
     assert (len(patterns), calls) == (17, 8183)
 
 
-def test_dominating_head_skip_drops_only_potential_sequences(monkeypatch):
-    # sigma_exact keeps its scan to d1 <= n - 2 at each sum level from
-    # 2(n - 1) + sigma(H - v, n - 1) up, v a vertex of maximum degree.
-    # Every graphic sequence it thus skips must be potentially H-graphic by
-    # the reference recursion; the levels are read from the enumerator
-    # calls of the scan, not from sigma
+def test_smallest_term_skip_drops_only_potential_sequences(monkeypatch):
+    # at length m and sum S, sigma_exact asks the enumerator only for
+    # sequences with d_m >= (S - sigma(H, m - 1))/2 + 1, and skips a level
+    # whole when m times that bound exceeds S. Every graphic sequence it
+    # thus leaves out must be potentially H-graphic by the reference
+    # recursion: those below ``min_term`` on the levels scanned, and all of
+    # a level skipped above the lowest level scanned. The levels and
+    # bounds are read from the enumerator calls of the scan, not from sigma
     scan = oracle.enumerate_graphic_sequences
-    skipped = []
+    asked = {}
 
-    def spy(n, total, *, host, max_term):
-        if max_term is not None and n == length:
-            skipped.append(total)
-        return scan(n, total, host=host, max_term=max_term)
+    def spy(n, total, *, host, min_term):
+        asked.setdefault(n, {})[total] = min_term
+        return scan(n, total, host=host, min_term=min_term)
 
     monkeypatch.setattr(oracle, "enumerate_graphic_sequences", spy)
     checked = 0
     for name, h in corpus().items():
-        for length in range(h.k, 10):
-            skipped.clear()
-            oracle.sigma_exact(h, length)
-            assert skipped, (name, length)
-            for total in skipped:
+        asked.clear()
+        oracle.sigma_exact(h, 9)
+        for length in range(h.k + 1, 10):
+            # a length where no level is scanned skips every level
+            levels = asked.get(length, {})
+            for total in range(length * (length - 1), min(levels, default=0) - 1, -2):
+                least = levels.get(total, length)
                 for s in enumerate_graphic_sequences(length, total):
-                    if s.terms[0] == length - 1:
+                    if s.terms[-1] < least:
                         checked += 1
-                        assert _reference_decide(s.terms, h), (name, s)
-    assert checked == 12155
+                        assert _reference_decide(s.terms, h), (name, s, least)
+    assert checked == 34227

@@ -8,10 +8,12 @@ regular obstructions beat the clique formula at these lengths.
 
 import gc
 import hashlib
+import importlib.util
 import random
 import sys
 import threading
 from itertools import combinations, combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -328,7 +330,7 @@ def test_enumerate_matches_reference_with_and_without_clique_skip():
     # prefix skip or by the leaf's split test; with r + s = 6 (C6's host is
     # (3, 3)) at n = 6 only the split test, in the loop that forces the
     # last term, settles a leaf that meets the Yin–Li condition
-    # ``max_term`` keeps exactly the sequences whose first term is at most
+    # ``min_term`` keeps exactly the sequences whose last term is at least
     # it, with or without a host
     hosts = [(r, m - r, complete_split(r, m - r)) for m in range(7) for r in range(m + 1)]
     for n in range(9):
@@ -339,13 +341,13 @@ def test_enumerate_matches_reference_with_and_without_clique_skip():
                 kept = [s for s in want if not _decide(s.terms, host)]
                 assert list(enumerate_graphic_sequences(n, total, host=(r, t))) == kept, (n, total, r, t)
                 if r + t in (3, 6):
-                    for top in range(n):
-                        low = [s for s in kept if max(s, default=0) <= top]
-                        got = list(enumerate_graphic_sequences(n, total, host=(r, t), max_term=top))
-                        assert got == low, (n, total, r, t, top)
-            for top in range(n + 1):
-                low = [s for s in want if max(s, default=0) <= top]
-                assert list(enumerate_graphic_sequences(n, total, max_term=top)) == low, (n, total, top)
+                    for least in range(n + 1):
+                        high = [s for s in kept if min(s, default=least) >= least]
+                        got = list(enumerate_graphic_sequences(n, total, host=(r, t), min_term=least))
+                        assert got == high, (n, total, r, t, least)
+            for least in range(n + 1):
+                high = [s for s in want if min(s, default=least) >= least]
+                assert list(enumerate_graphic_sequences(n, total, min_term=least)) == high, (n, total, least)
 
 
 def test_enumerate_fixed_sum_order_is_lex_decreasing():
@@ -387,12 +389,20 @@ def test_enumerate_edge_cases():
     for host in ((-1, 2), (2, -1), (1,), (1, 1, 1), (2.0, 1), [2, 1], 3):
         with pytest.raises(ValueError):
             list(enumerate_graphic_sequences(5, host=host))
-    for max_term in (-1, 2.0, "3"):
+    for min_term in (-1, 2.0, "3"):
         with pytest.raises(ValueError):
-            list(enumerate_graphic_sequences(5, max_term=max_term))
-    assert terms(0, max_term=0) == [()]
-    assert terms(1, max_term=0) == [(0,)]
-    assert terms(2, max_term=0) == [(0, 0)]
+            list(enumerate_graphic_sequences(5, min_term=min_term))
+    # the empty sequence has no term below any bound; a top frame with one
+    # slot drops its leaf below the bound, and at length 2 the bound cuts
+    # the first term's range so that the forced second term meets it
+    assert terms(0, min_term=0) == terms(0, min_term=3) == [()]
+    assert terms(1, min_term=0) == [(0,)]
+    assert terms(1, min_term=1) == []
+    assert terms(2, min_term=0) == [(1, 1), (0, 0)]
+    assert terms(2, min_term=1) == terms(2, 2, min_term=1) == [(1, 1)]
+    assert terms(2, min_term=2) == terms(2, 0, min_term=1) == []
+    assert terms(3, min_term=1) == [(2, 2, 2), (2, 1, 1)]
+    assert terms(3, min_term=1, host=(1, 1)) == []
 
 
 # --- exact potential numbers ---------------------------------------------------------
@@ -520,15 +530,15 @@ def test_sigma_identity_n8_to_n11():
 def test_sigma_scan_leaf_count(monkeypatch):
     # the Yin–Li subtree skip, the Erdős–Gallai prefix bound, the
     # greedy-completion break, the skip of prefixes that fail
-    # ``_split_heads`` and the dominating-head skip change no answer,
-    # since the leaf tests drop what they skip, so only the work shows
-    # them: a lost prune raises the number of split tests. Each count is
-    # (leaf tests, greedy-completion tests): a frame tests the greedy
-    # completion of each value before it descends, and a leaf's own test
-    # is made in the loop that forces the last term (the caller's ``tail``
-    # is 1 there, or not yet bound in a top frame of length 0 or 1). The
-    # counts include the nested scans of sigma(H - v, n - 1) that the
-    # dominating-head skip asks for
+    # ``_split_heads`` and the smallest-term skip change no answer, since
+    # the leaf tests drop what they skip, so only the work shows them: a
+    # lost prune raises the number of split tests. Each count is (leaf
+    # tests, greedy-completion tests): a frame tests the greedy completion
+    # of each value before it descends, and a leaf's own test is made in
+    # the loop that forces the last term (the caller's ``tail`` is 1
+    # there, or not yet bound in a top frame of length 0 or 1). The counts
+    # include the scans at the lengths k..9 whose sigma gives the
+    # smallest-term bound at the next length
     counts = {}
     split = oracle._split_holds
 
@@ -541,8 +551,8 @@ def test_sigma_scan_leaf_count(monkeypatch):
         counts[name] = [0, 0]
         sigma_exact(h, 10)
     assert {name: tuple(c) for name, c in counts.items()} == {
-        "K3": (0, 2), "K4": (0, 9), "C5": (14, 1101), "C6": (54, 3252),
-        "P4": (0, 408), "K23": (60, 1910), "split23": (27, 1003), "friendship2": (14, 1101),
+        "K3": (5, 10), "K4": (5, 22), "C5": (21, 106), "C6": (78, 47),
+        "P4": (11, 11), "K23": (50, 515), "split23": (84, 283), "friendship2": (21, 106),
     }
 
 
@@ -556,6 +566,22 @@ def test_sigma_n13_values():
     for name, h in corpus().items():
         got = sigma_exact(h, 13, cap_n=13)
         assert (got.value, len(got.extremal_sequences)) == want[name], name
+
+
+def test_sigma_table_digests_n14_to_n16(capsys):
+    # README's digests of ``scripts/sigma_table.py 14 15 16``: one sha256
+    # per length over every corpus graph's name, σ and maximizer texts
+    path = Path(__file__).resolve().parent.parent / "scripts" / "sigma_table.py"
+    spec = importlib.util.spec_from_file_location("sigma_table", path)
+    table = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(table)
+    table.main([14, 15, 16])
+    digests = [line.split("sha256=")[1] for line in capsys.readouterr().out.splitlines() if "digest" in line]
+    assert digests == [
+        "e6e1700cfec83ffd59eef2c001a79fd5f6661df112c1d6acfe780b92bf8e70c5",
+        "39b08ee26d3c9d16789c098de48d8f102adef10255932f127fcfccb5f13eebf0",
+        "58ecb9d191f8400960e4337edf1d0394a290855dd9e0579f163e4a7aa91ed163",
+    ]
 
 
 def test_sigma_closed_forms_from_the_literature():
