@@ -16,7 +16,6 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import List, Optional
 
 from .generators import graph_from_text
 from .graphs import SmallGraph, parse_graph_file
@@ -36,7 +35,34 @@ EXIT_INTERNAL = 3
 MAX_EXPONENT = 1000
 
 
+def _help_formatter(prog: str) -> argparse.HelpFormatter:
+    """argparse's help formatter at the width it would pick itself.
+
+    Given no width, ``HelpFormatter`` imports shutil (and with it bz2,
+    lzma, zlib and fnmatch) for ``shutil.get_terminal_size``, and every
+    ``add_argument`` builds a formatter, so each start of ``potnum`` would
+    pay for that import. This takes the columns the same way: COLUMNS,
+    then the terminal of ``sys.__stdout__``, then 80; less 2.
+    """
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return argparse.HelpFormatter(prog, width=(columns or 80) - 2)
+
+
 class _Parser(argparse.ArgumentParser):
+    """Raises ``UsageError`` in place of exiting. Its subparsers are of its
+    own type, so they share the formatter default."""
+
+    def __init__(self, *args, formatter_class=_help_formatter, **kwargs):
+        super().__init__(*args, formatter_class=formatter_class, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -56,7 +82,7 @@ def _load_graph(source: str, cap: int) -> SmallGraph:
     return graph_from_text(source, cap=cap)
 
 
-def _emit(payload, as_json: bool, human_lines: List[str]) -> None:
+def _emit(payload, as_json: bool, human_lines: list[str]) -> None:
     if as_json:
         print(json.dumps(payload, indent=2))
     else:
@@ -102,7 +128,7 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _int_params(params: List[str]) -> List[int]:
+def _int_params(params: list[str]) -> list[int]:
     # each builder makes a sequence of the requested length, term by term
     values = [int(_check_digits(p)) for p in params]
     for v in values:
@@ -268,7 +294,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

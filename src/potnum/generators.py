@@ -16,7 +16,7 @@ Examples: ``join(K 2, Kbar 3)`` is the complete split graph K2 v K3bar,
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple, Union
+from collections import namedtuple
 
 from . import graphs
 from .graphs import CapExceededError, SmallGraph
@@ -46,17 +46,21 @@ CALLS = {
 MAX_DEPTH = 100
 
 
-class Gen(NamedTuple):
-    name: str
-    args: Tuple[int, ...]
+class Gen(namedtuple("Gen", "name args")):
+    """A generator: ``name`` (str, a key of ``GENERATORS``) and ``args``
+    (tuple of int)."""
+
+    __slots__ = ()
 
 
-class Call(NamedTuple):
-    name: str
-    operands: Tuple["GraphExpr", ...]
+class Call(namedtuple("Call", "name operands")):
+    """A call: ``name`` (str, a key of ``CALLS``) and ``operands`` (tuple
+    of ``GraphExpr``)."""
+
+    __slots__ = ()
 
 
-GraphExpr = Union[Gen, Call]
+GraphExpr = Gen | Call
 
 
 class ExprError(ValueError):
@@ -67,13 +71,14 @@ class ExprError(ValueError):
         self.pos = pos
 
 
-class _Token(NamedTuple):
-    kind: str  # "name" | "int" | "(" | ")" | ","
-    text: str
-    pos: int
+class _Token(namedtuple("_Token", "kind text pos")):
+    """``kind`` is "name", "int", "(", ")" or ","; ``text`` the token's
+    characters and ``pos`` the position of the first."""
+
+    __slots__ = ()
 
 
-def _tokenize(text: str) -> List[_Token]:
+def _tokenize(text: str) -> list[_Token]:
     tokens = []
     i = 0
     while i < len(text):
@@ -113,7 +118,7 @@ def parse_graph_expr(text: str) -> GraphExpr:
     return expr
 
 
-def _take(tokens: List[_Token], kind: str, end: int) -> _Token:
+def _take(tokens: list[_Token], kind: str, end: int) -> _Token:
     """Pop the next token, which must be of ``kind``; ``end`` is the
     position reported when the input runs out."""
     if not tokens:
@@ -124,7 +129,7 @@ def _take(tokens: List[_Token], kind: str, end: int) -> _Token:
     return tok
 
 
-def _parse_int(tokens: List[_Token], end: int) -> int:
+def _parse_int(tokens: list[_Token], end: int) -> int:
     tok = _take(tokens, "int", end)
     # the token is a run of digits
     if len(tok.text) > MAX_DIGITS:
@@ -137,7 +142,7 @@ def _parse_int(tokens: List[_Token], end: int) -> int:
     return value
 
 
-def _parse_expr(tokens: List[_Token], end: int, depth: int) -> GraphExpr:
+def _parse_expr(tokens: list[_Token], end: int, depth: int) -> GraphExpr:
     tok = _take(tokens, "name", end)
     if tok.text in GENERATORS:
         args = tuple(_parse_int(tokens, end) for _ in range(GENERATORS[tok.text][0]))

@@ -7,9 +7,9 @@ subgraph embedding) trivial at this scale.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .sequences import DegreeSequence, _check_digits
 
@@ -25,7 +25,7 @@ class SmallGraph:
 
     __slots__ = ("k", "adj")
 
-    def __init__(self, k: int, edges: Iterable[Tuple[int, int]] = ()):
+    def __init__(self, k: int, edges: Iterable[tuple[int, int]] = ()):
         if k < 0:
             raise ValueError("vertex count must be nonnegative")
         if k > MAX_VERTICES:
@@ -53,7 +53,7 @@ class SmallGraph:
     def __repr__(self) -> str:
         return f"SmallGraph(k={self.k}, edges={self.edges()})"
 
-    def edges(self) -> List[Tuple[int, int]]:
+    def edges(self) -> list[tuple[int, int]]:
         out = []
         for u in range(self.k):
             m = self.adj[u] >> (u + 1)
@@ -74,7 +74,7 @@ class SmallGraph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def degrees(self) -> Tuple[int, ...]:
+    def degrees(self) -> tuple[int, ...]:
         return tuple(m.bit_count() for m in self.adj)
 
     def degree_sequence(self) -> DegreeSequence:
@@ -98,7 +98,7 @@ class SmallGraph:
         return SmallGraph(len(vs), edges)
 
 
-def _from_masks(k: int, adj: List[int]) -> SmallGraph:
+def _from_masks(k: int, adj: list[int]) -> SmallGraph:
     """A graph from adjacency masks its caller has built symmetric, loop
     free and in range, on at most ``MAX_VERTICES`` vertices: no per-edge
     check."""
@@ -240,13 +240,13 @@ def nabla(h: SmallGraph, i: int) -> int:
     return best
 
 
-def deleted_family(h: SmallGraph, t: int) -> Iterator[Tuple[SmallGraph, Tuple[int, ...]]]:
+def deleted_family(h: SmallGraph, t: int) -> Iterator[tuple[SmallGraph, tuple[int, ...]]]:
     """Induced subgraphs obtained by deleting exactly t vertices, one per
     isomorphism class: (subgraph, deleted vertices), trying the deletion
     sets in lexicographic order, so t = 1 deletes vertex 0 first."""
     if not 0 <= t <= h.k:
         raise ValueError(f"deletion count {t} out of range 0..{h.k}")
-    seen: List[SmallGraph] = []
+    seen: list[SmallGraph] = []
     for deleted in combinations(range(h.k), t):
         sub = h.induced([u for u in range(h.k) if u not in deleted])
         if not any(is_isomorphic(sub, other) for other in seen):
@@ -272,7 +272,7 @@ def one_edge_set_exists(h: SmallGraph, size: int) -> bool:
 
 
 @lru_cache(maxsize=256)
-def _embedding_plan(pattern: SmallGraph) -> Tuple[Tuple[int, int, Tuple[int, ...]], ...]:
+def _embedding_plan(pattern: SmallGraph) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """Placement order for ``find_embedding``: (vertex, degree, neighbours
     placed before it) per step. Repeatedly takes the unplaced vertex with
     most placed neighbours, breaking ties toward high degree, then lower
@@ -290,7 +290,7 @@ def _embedding_plan(pattern: SmallGraph) -> Tuple[Tuple[int, int, Tuple[int, ...
     return tuple(plan)
 
 
-def find_embedding(pattern: SmallGraph, host: SmallGraph) -> Optional[Dict[int, int]]:
+def find_embedding(pattern: SmallGraph, host: SmallGraph) -> dict[int, int] | None:
     """Injective vertex map carrying every pattern edge to a host edge.
 
     Backtracking over a cached per-pattern plan that places the most
@@ -311,8 +311,8 @@ def find_embedding(pattern: SmallGraph, host: SmallGraph) -> Optional[Dict[int, 
 
 
 def _place(
-    plan: Sequence[Tuple[int, int, Tuple[int, ...]]], depth: int, free: int,
-    hadj: Sequence[int], hdeg: Sequence[int], image: List[int],
+    plan: Sequence[tuple[int, int, tuple[int, ...]]], depth: int, free: int,
+    hadj: Sequence[int], hdeg: Sequence[int], image: list[int],
 ) -> bool:
     """Place the plan's steps from ``depth`` on, on the host vertices in
     ``free``, writing each pattern vertex's host vertex into ``image``."""

@@ -21,29 +21,16 @@ K_r + s independent vertices) makes no split test in its subtree: every
 completion would fail it.
 
 A frame that places a term at position k or later ends its loop at the
-first value d whose greedy completion holds the host: the prefix, then d
-as often as the sum still to place allows, then the remainder, then
-zeros. Every later value, and every sequence below d, has a tail that
-this completion's tail majorizes, so the same host test would pass on
-each of them. The lemma: if a sequence has a realization with the host
-on positions 0..k-1, moving one unit from a term a to a term b with
-a >= b + 2, both at positions k or later, keeps one. Vertex u (of degree
-a) has a neighbour w outside N[v] (v of degree b), since u has at least
-b + 1 neighbours other than v; the 2-switch that replaces uw by vw keeps
-every other degree, and uw is no host edge because u lies outside the
-host's positions. A majorized tail is reached from the greedy one by such
-unit moves, so every sequence the break skips is potentially host-graphic
-and cannot refute. Where the split test is exact, the enumerator's
-output is the same with or without the break.
+first value whose greedy completion holds the host. Every sequence the
+break skips holds the host too, by a 2-switch lemma that
+``_extend_prefix`` states and proves. Where the split test is exact, the
+enumerator's output is the same with or without the break.
 
-A potential number is found by induction on the length: sigma(H, m) at
-each length m from k up gives the next. Laying off the smallest term of
-a sequence of length m and sum S gives a graphic sequence of length m-1
-and sum S - 2d_m, which is potentially H-graphic once that sum reaches
-sigma(H, m-1), and then so is the sequence. So at sum S only sequences
-with d_m >= (S - sigma(H, m-1))/2 + 1 can refute; the enumerator leaves
-out the rest, and a level where no sequence meets that bound is not
-scanned at all (``sigma_exact`` gives the proof).
+A potential number is found by induction on the length: at each sum,
+sigma(H, m-1) bounds from below the smallest term of a sequence of
+length m that can refute, so the enumerator is asked only for those, and
+a level that holds none is not scanned. ``sigma_exact`` proves the bound
+by a lay-off.
 
 Yin–Li, the split test and the smallest-term bound only prune that
 scan. None is a decision rule: they name no copy of H, and a true answer
@@ -74,9 +61,10 @@ order cap, k <= 8, is fixed. Exceeding either raises, never truncates.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable, Iterator, Sequence
 from functools import lru_cache
 from itertools import groupby, islice, permutations
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .graphs import (
     MAX_VERTICES,
@@ -93,13 +81,9 @@ DEFAULT_CAP_N = 10
 DEFAULT_CAP_K = 8
 
 
-# A NamedTuple class body may not define __new__, so the degree check
-# lives in a subclass of the functional form.
-_Realization = NamedTuple("_Realization", [("graph", SmallGraph), ("sequence", DegreeSequence)])
-
-
-class Realization(_Realization):
-    """Labeled realization: vertex i carries degree sequence term i."""
+class Realization(namedtuple("_Realization", "graph sequence")):
+    """Labeled realization: ``graph`` (a ``SmallGraph``) whose vertex i
+    carries term i of ``sequence`` (a ``DegreeSequence``)."""
 
     __slots__ = ()
 
@@ -109,14 +93,18 @@ class Realization(_Realization):
         return super().__new__(cls, graph, sequence)
 
 
-class PotentialCertificate(NamedTuple):
-    answer: bool
-    embedding: Optional[Dict[int, int]] = None
-    realization: Optional[Realization] = None
-    exhausted: Optional[Dict[str, Union[str, int]]] = None
+class PotentialCertificate(
+    namedtuple("PotentialCertificate", "answer embedding realization exhausted", defaults=(None, None, None))
+):
+    """The answer of ``potentially`` (bool). A true answer carries the
+    ``embedding`` (dict from the vertices of H to positions) and the
+    witnessing ``realization`` (a ``Realization``); a false one carries
+    ``exhausted``, the refutation as a dict (``Refutation._asdict``)."""
 
-    def to_json_dict(self) -> Dict:
-        out: Dict = {"potentially": self.answer}
+    __slots__ = ()
+
+    def to_json_dict(self) -> dict:
+        out: dict = {"potentially": self.answer}
         if self.embedding is not None:
             out["embedding"] = {str(u + 1): v + 1 for u, v in sorted(self.embedding.items())}
         if self.realization is not None:
@@ -128,12 +116,14 @@ class PotentialCertificate(NamedTuple):
         return out
 
 
-class SigmaExact(NamedTuple):
-    n: int
-    value: int
-    extremal_sequences: Tuple[DegreeSequence, ...]
+class SigmaExact(namedtuple("SigmaExact", "n value extremal_sequences chain")):
+    """The potential number ``value`` = sigma(H, ``n``), every maximizer in
+    ``extremal_sequences`` (a tuple of ``DegreeSequence``), and ``chain``,
+    the tuple of sigma(H, m) for m = k..n, whose last entry is ``value``."""
 
-    def to_json_dict(self) -> Dict:
+    __slots__ = ()
+
+    def to_json_dict(self) -> dict:
         return {
             "n": self.n,
             "value": self.value,
@@ -188,14 +178,14 @@ def canonical_realization(seq: DegreeSequence) -> Realization:
 
 
 @lru_cache(maxsize=1 << 12)
-def _d1_classes(h: SmallGraph) -> Tuple[Tuple[SmallGraph, int], ...]:
+def _d1_classes(h: SmallGraph) -> tuple[tuple[SmallGraph, int], ...]:
     """One-vertex-deleted subgraphs up to isomorphism: (subgraph, deleted
     vertex), as ``deleted_family`` gives them."""
     return tuple((sub, v) for sub, (v,) in deleted_family(h, 1))
 
 
 @lru_cache(maxsize=1 << 12)
-def _distinct_copies(h: SmallGraph) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]], ...]:
+def _distinct_copies(h: SmallGraph) -> tuple[tuple[tuple[tuple[int, int], ...], tuple[int, ...]], ...]:
     """Distinct labeled copies of h on slots 0..k-1, one per edge set.
 
     Each entry is (sorted edge tuple, vertex map h-vertex -> slot). The
@@ -218,7 +208,7 @@ def _distinct_copies(h: SmallGraph) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], 
 
 
 @lru_cache(maxsize=1 << 12)
-def _sorted_degrees(h: SmallGraph) -> Tuple[int, ...]:
+def _sorted_degrees(h: SmallGraph) -> tuple[int, ...]:
     return tuple(sorted(h.degrees(), reverse=True))
 
 
@@ -227,8 +217,8 @@ def _sorted_degrees(h: SmallGraph) -> Tuple[int, ...]:
 
 
 def _prefix_choices(
-    groups: List[List[int]], idx: int, need: int, left: int, acc: List[int]
-) -> Iterator[List[int]]:
+    groups: list[list[int]], idx: int, need: int, left: int, acc: list[int]
+) -> Iterator[list[int]]:
     """Every set of ``need`` members that takes a prefix of each group from
     ``idx`` on, larger counts first; ``left`` counts the members of those
     groups. Gives both the position subsets of the full search and the
@@ -244,7 +234,7 @@ def _prefix_choices(
         yield from _prefix_choices(groups, idx + 1, need - take, left, acc + group[:take])
 
 
-def _solve_residual(demands: List[int], forb: Sequence[int]) -> Optional[List[Tuple[int, int]]]:
+def _solve_residual(demands: list[int], forb: Sequence[int]) -> list[tuple[int, int]] | None:
     """Edge set realizing ``demands`` while avoiding forbidden pairs, or
     None, with ``demands`` as they were, if there is none.
 
@@ -269,7 +259,7 @@ def _solve_residual(demands: List[int], forb: Sequence[int]) -> Optional[List[Tu
     ]
     if len(cands) < du:
         return None
-    classes: Dict[Tuple[int, int], List[int]] = {}
+    classes: dict[tuple[int, int], list[int]] = {}
     for v in cands:
         classes.setdefault((demands[v], forb[v] & active_mask), []).append(v)
     groups = [m for _, m in sorted(classes.items(), key=lambda kv: -kv[0][0])]
@@ -292,27 +282,26 @@ def _solve_residual(demands: List[int], forb: Sequence[int]) -> Optional[List[Tu
 # Full placement search
 
 
-class Refutation(NamedTuple):
-    """A false decision: the rule that refuted the sequence and the work
-    it cost, summed over the sub-decisions of a dominating-head strip."""
+class Refutation(namedtuple("Refutation", "rule subsets patterns residual_calls", defaults=(0, 0, 0))):
+    """A false decision: the ``rule`` that refuted the sequence (str) and
+    the work it cost, summed over the sub-decisions of a dominating-head
+    strip: the position ``subsets`` and ``patterns`` the full search tried
+    and its ``residual_calls`` (ints)."""
 
-    rule: str
-    subsets: int = 0
-    patterns: int = 0
-    residual_calls: int = 0
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return False
 
 
 # A true decision: a callable returning (embedding, realization).
-_Witness = Callable[[], Tuple[Dict[int, int], Realization]]
-_Decision = Union[_Witness, Refutation]
+_Witness = Callable[[], tuple[dict[int, int], Realization]]
+_Decision = _Witness | Refutation
 
 _DEGREE_REFUTATION = Refutation("degree")
 
 
-def _full_search(terms: Tuple[int, ...], h: SmallGraph) -> _Decision:
+def _full_search(terms: tuple[int, ...], h: SmallGraph) -> _Decision:
     """Place every copy of h on every position subset that takes a
     prefix of each run of equal degree, as ``_prefix_choices`` gives them,
     and solve the residual demands around it.
@@ -370,7 +359,7 @@ def _full_search(terms: Tuple[int, ...], h: SmallGraph) -> _Decision:
 # The decision procedure
 
 
-def _decide(terms: Tuple[int, ...], h: SmallGraph) -> _Decision:
+def _decide(terms: tuple[int, ...], h: SmallGraph) -> _Decision:
     """Is ``terms`` potentially h-graphic? A witness builder if so, else
     the refutation. The rules of the module docstring, in order."""
     n = len(terms)
@@ -443,14 +432,14 @@ def potentially(
 
 def enumerate_graphic_sequences(
     n: int,
-    total: Optional[int] = None,
+    total: int | None = None,
     *,
-    host: Optional[Tuple[int, int]] = None,
-    min_term: Optional[int] = None,
+    host: tuple[int, int] | None = None,
+    min_term: int | None = None,
 ) -> Iterator[DegreeSequence]:
     """All nonincreasing graphic sequences of length n (terms <= n-1), or
     only those whose terms are all at least ``min_term``, a nonnegative
-    int (the smallest-term bound of ``sigma_exact``).
+    int (the smallest-term bound, proved in ``sigma_exact``).
 
     With ``total`` fixed, only sequences of that sum are produced, in
     lexicographically decreasing order. Without it, sums descend from
@@ -466,7 +455,7 @@ def enumerate_graphic_sequences(
     r+s terms settle the Yin–Li condition for the clique K_{r+s}, which
     contains the host, and a loop over a term at position r+s or later
     ends at the first value whose greedy completion passes
-    ``_split_holds``: by the 2-switch lemma of the module docstring, every
+    ``_split_holds``: by the 2-switch lemma in ``_extend_prefix``, every
     sequence it skips is potentially host-graphic too. Each leaf meets
     only ``_split_holds``, then its Erdős–Gallai test. ``host`` must be a
     pair of nonnegative ints; anything else raises ``ValueError``, as
@@ -487,22 +476,22 @@ def enumerate_graphic_sequences(
     k = sum(host) if host else 0
     least = min_term or 0
     for s in totals:
-        level: List[Tuple[int, ...]] = []
+        level: list[tuple[int, ...]] = []
         _extend_prefix([0] * n, n, s, host, k, 0, 0, max(n - 1, 0), least, level)
         yield from map(DegreeSequence, level)
 
 
 def _extend_prefix(
-    terms: List[int],
+    terms: list[int],
     n: int,
     total: int,
-    host: Optional[Tuple[int, int]],
+    host: tuple[int, int] | None,
     k: int,
     q: int,
     placed: int,
     bound: int,
     least: int,
-    out: List[Tuple[int, ...]],
+    out: list[tuple[int, ...]],
 ) -> None:
     """Depth-first over nonincreasing prefixes d1..dq, largest term first:
     appends to ``out``, as tuples in lexicographically decreasing order,
@@ -545,9 +534,15 @@ def _extend_prefix(
     prefix, d repeated r // d times, the remainder, then zeros. When
     ``_split_holds(g(d))`` holds the frame returns: every completion with
     a value of at most d here, whatever its smallest term, has a tail that
-    g(d)'s tail majorizes, and the unit moves that lead from one to the
-    other are 2-switches that never touch a host edge (module docstring),
-    so each is potentially host-graphic. In the loop that forces the last term g(d) is the leaf
+    g(d)'s tail majorizes, so each is potentially host-graphic by this
+    lemma. If a sequence has a realization with the host on positions
+    0..k-1, moving one unit from a term a to a term b with a >= b + 2,
+    both at positions k or later, keeps one. Vertex u (of degree a) has a
+    neighbour w outside N[v] (v of degree b), since u has at least b + 1
+    neighbours other than v; the 2-switch that replaces uw by vw keeps
+    every other degree, and uw is no host edge because u lies outside the
+    host's positions. A majorized tail is reached from the greedy one by
+    such unit moves. In the loop that forces the last term g(d) is the leaf
     itself, so the first leaf that passes the split test ends that loop.
     The values before the first passing one fail, so a child's first
     value, whose greedy completion is its parent's for the value the
@@ -623,7 +618,7 @@ def _split_heads(terms: Sequence[int], r: int, s: int) -> bool:
     return not ((r and terms[r - 1] < r + s - 1) or (s and terms[r + s - 1] < r))
 
 
-def _split_holds(terms: Tuple[int, ...], r: int, s: int) -> bool:
+def _split_holds(terms: tuple[int, ...], r: int, s: int) -> bool:
     """Does ``terms`` (nonincreasing, terms >= 0) have a realization that
     contains ``complete_split(r, s)``? True only if one is found, which
     also proves ``terms`` graphic.
@@ -667,7 +662,7 @@ def sigma_exact(
     h-graphic; also returns every maximizing non-potential sequence.
 
     Computes sigma at every length m from k to n in turn, each from the
-    one before. At each length it scans sums downward and stops at the
+    one before, and returns them all as ``chain``. At each length it scans sums downward and stops at the
     first level carrying a refutation; sigma is 2 more than that sum.
     Below n it stops at the first refutation, since only sigma is needed
     there; at n it collects every refutation of that level. At each level
@@ -677,11 +672,9 @@ def sigma_exact(
     condition for order k on a prefix of length k, by ``_split_holds`` on
     each leaf before its Erdős–Gallai test, and by the same test on a
     greedy completion, which ends a loop over a term at position k or
-    later: a 2-switch that moves one unit between two terms past the
-    host's positions keeps the host, so every completion that completion
-    majorizes holds it too). h lies in that host with a maximum
-    independent set on the independent side, so every realization
-    containing the host contains h. Like Yin–Li, the skip names no copy
+    later by the 2-switch lemma in ``_extend_prefix``). h lies in that
+    host with a maximum independent set on the independent side, so every
+    realization containing the host contains h. Like Yin–Li, the skip names no copy
     of h, so it is not a rule of the decision.
 
     The smallest-term skip. Let d be graphic of length m, with sum S and
@@ -710,6 +703,7 @@ def sigma_exact(
     host = (h.k - alpha, alpha)
     k = h.k
     value, falses = (k - 1) * (k - 2) + 2, ()  # sigma(h, k - 1)
+    chain = []
     for m in range(k, n + 1):
         prev, value, falses = value, 0, ()
         for total in range(m * (m - 1), -1, -2):
@@ -724,4 +718,5 @@ def sigma_exact(
             if falses:
                 value = total + 2
                 break
-    return SigmaExact(n=n, value=value, extremal_sequences=falses)
+        chain.append(value)
+    return SigmaExact(n=n, value=value, extremal_sequences=falses, chain=tuple(chain))

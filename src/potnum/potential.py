@@ -11,28 +11,29 @@ hinge.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
-from typing import Dict, NamedTuple, Optional, Tuple
 
 from .graphs import SmallGraph, deleted_family, independence_number, nabla
 from .sequences import DegreeSequence, is_graphic
 
 
-class PotentialProfile(NamedTuple):
-    k: int
-    alpha: int
-    nabla_table: Dict[int, int]
-    sigma_tilde_i: Dict[int, int]
-    sigma_tilde: int
-    i_star: int
-    type_label: str  # "Type1" | "Type2"
-    b_h: int  # 0 for Type1, 1 for Type2
+class PotentialProfile(
+    namedtuple("PotentialProfile", "k alpha nabla_table sigma_tilde_i sigma_tilde i_star type_label b_h")
+):
+    """The profile of H: order ``k`` and independence number ``alpha``;
+    ``nabla_table`` and ``sigma_tilde_i``, dicts from each order i in
+    alpha+1..k to nabla_i and to sigma_tilde_i; the ints ``sigma_tilde``
+    and ``i_star``; ``type_label``, "Type1" or "Type2"; and ``b_h``, 0 for
+    Type1 and 1 for Type2."""
+
+    __slots__ = ()
 
     @property
     def is_type2(self) -> bool:
         return self.type_label == "Type2"
 
-    def to_json_dict(self) -> Dict:
+    def to_json_dict(self) -> dict:
         return {
             "k": self.k,
             "alpha": self.alpha,
@@ -45,19 +46,18 @@ class PotentialProfile(NamedTuple):
         }
 
 
-class TargetSequence(NamedTuple):
+class TargetSequence(namedtuple("TargetSequence", "i n seq parity_adjusted")):
     """The extremal sequence ((n-1)^{k-i}, (k-i+nabla_i-1)^{n-k+i}).
 
     The last term drops by one exactly when n-k+i and nabla_i-1 are both
-    odd, which restores graphicality. Never potentially H-graphic.
+    odd, which restores graphicality. Never potentially H-graphic. Fields:
+    the ints ``i`` and ``n``, the ``DegreeSequence`` ``seq`` and the bool
+    ``parity_adjusted``, true when the last term was dropped.
     """
 
-    i: int
-    n: int
-    seq: DegreeSequence
-    parity_adjusted: bool
+    __slots__ = ()
 
-    def to_json_dict(self) -> Dict:
+    def to_json_dict(self) -> dict:
         return {
             "i": self.i,
             "n": self.n,
@@ -66,15 +66,15 @@ class TargetSequence(NamedTuple):
         }
 
 
-class ExtremalWitness(NamedTuple):
+class ExtremalWitness(namedtuple("ExtremalWitness", "seq n params")):
     """Witness sequence whose only realization is a clique joined to a
-    near-balanced double star; used to refute stability."""
+    near-balanced double star; used to refute stability. Fields: the
+    ``DegreeSequence`` ``seq``, its length ``n`` and ``params``, a dict
+    from the name of each part of the sequence to its int."""
 
-    seq: DegreeSequence
-    n: int
-    params: Dict[str, int]
+    __slots__ = ()
 
-    def to_json_dict(self) -> Dict:
+    def to_json_dict(self) -> dict:
         return {
             "n": self.n,
             "sequence": self.seq.to_text(),
@@ -136,7 +136,7 @@ def target_sequence(h: SmallGraph, i: int, n: int) -> TargetSequence:
     return TargetSequence(i=i, n=n, seq=seq, parity_adjusted=adjusted)
 
 
-def target_family(h: SmallGraph, n: int) -> Tuple[TargetSequence, ...]:
+def target_family(h: SmallGraph, n: int) -> tuple[TargetSequence, ...]:
     """All target sequences attaining sigma_tilde, ascending in i."""
     prof = profile(h)
     return tuple(
@@ -212,7 +212,7 @@ def asymptotic_degree_sufficient_rho(h: SmallGraph) -> bool:
     return all(degs[j] <= k - alpha - 1 for j in range(k - alpha, k))
 
 
-def best_deleted_subgraph(h: SmallGraph, t: int) -> Tuple[SmallGraph, int]:
+def best_deleted_subgraph(h: SmallGraph, t: int) -> tuple[SmallGraph, int]:
     """Vertex-deleted induced subgraph minimizing sigma_tilde.
 
     For t < k - alpha every (k-t)-subset still spans an edge, so the
@@ -224,7 +224,7 @@ def best_deleted_subgraph(h: SmallGraph, t: int) -> Tuple[SmallGraph, int]:
     prof = profile(h)
     if not 0 <= t < prof.k - prof.alpha:
         raise ValueError(f"deletion count {t} out of range 0..{prof.k - prof.alpha - 1}")
-    best: Optional[SmallGraph] = None
+    best: SmallGraph | None = None
     best_value = None
     for sub, _ in deleted_family(h, t):
         value = profile(sub).sigma_tilde

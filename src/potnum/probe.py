@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .graphs import (
     SmallGraph,
@@ -35,7 +35,7 @@ from .oracle import (
     canonical_realization,
     potentially,
 )
-from .potential import PotentialProfile, profile, target_sequence, TargetSequence
+from .potential import PotentialProfile, profile, target_sequence
 from .sequences import DegreeSequence, degree_sufficient, is_graphic, l1_distance, layoff, layoff_batch_below
 
 FOUND_H = "found_h"
@@ -62,19 +62,26 @@ def delta_bound(epsilon: Fraction, k: int) -> Fraction:
     return epsilon / (16 * k**3 + 48 * k**2 + (32 + epsilon) * k)
 
 
-class ProbeConfig(NamedTuple):
-    epsilon: Fraction = Fraction(1, 4)
-    delta: Optional[Fraction] = None  # defaults to half the bound for (epsilon, k)
-    f_override: Optional[int] = None
-    oracle_fallback: bool = True
-    cap_n: int = DEFAULT_CAP_N
+class ProbeConfig(
+    namedtuple(
+        "ProbeConfig",
+        "epsilon delta f_override oracle_fallback cap_n",
+        defaults=(Fraction(1, 4), None, None, True, DEFAULT_CAP_N),
+    )
+):
+    """``epsilon`` (a Fraction); ``delta`` (a Fraction, or None for half
+    the bound for (epsilon, k)); ``f_override`` (an int step-1 cutoff, or
+    None for ``default_f``); ``oracle_fallback`` (bool: verify claims with
+    the oracle); ``cap_n`` (the oracle's length cap)."""
 
-    def resolve(self, k: int) -> Tuple[Fraction, int, List[str]]:
+    __slots__ = ()
+
+    def resolve(self, k: int) -> tuple[Fraction, int, list[str]]:
         """Concrete (delta, f) for a graph of order k, plus warnings."""
         eps = Fraction(self.epsilon)
         if not 0 < eps < Fraction(1, 2):
             raise ValueError(f"epsilon must lie in (0, 1/2), got {eps}")
-        warnings: List[str] = []
+        warnings: list[str] = []
         bound = delta_bound(eps, k)
         if self.delta is None:
             delta = bound / 2
@@ -96,17 +103,23 @@ class ProbeConfig(NamedTuple):
         return delta, f, warnings
 
 
-class ProbeVerdict(NamedTuple):
-    kind: str
-    subgraph: Optional[SmallGraph] = None
-    embedding: Optional[Dict[int, int]] = None
-    target: Optional[TargetSequence] = None
-    distance: Optional[int] = None
-    reason: Optional[str] = None
-    verified: Optional[bool] = None
+class ProbeVerdict(
+    namedtuple(
+        "ProbeVerdict",
+        "kind subgraph embedding target distance reason verified",
+        defaults=(None, None, None, None, None, None),
+    )
+):
+    """The verdict ``kind`` (one of the module's verdict names) and, where
+    they apply, the ``subgraph`` found (a ``SmallGraph``), the oracle's
+    ``embedding`` of it (a dict), the nearby ``target`` (a
+    ``TargetSequence``) at l1 ``distance`` (an int), the ``reason`` (a
+    str) and whether the oracle ``verified`` the claim (a bool)."""
 
-    def to_json_dict(self) -> Dict:
-        out: Dict = {"verdict": self.kind}
+    __slots__ = ()
+
+    def to_json_dict(self) -> dict:
+        out: dict = {"verdict": self.kind}
         if self.subgraph is not None:
             out["subgraphOrder"] = self.subgraph.k
             out["subgraphEdges"] = [[u + 1, v + 1] for u, v in self.subgraph.edges()]
@@ -123,22 +136,23 @@ class ProbeVerdict(NamedTuple):
         return out
 
 
-class IterationRecord(NamedTuple):
-    """One pass of the loop. A pass that halts at step 1 leaves the step
-    fields None."""
+class IterationRecord(
+    namedtuple(
+        "IterationRecord",
+        "t n_t sequence sum_bound sum_bound_ok removed_nonneighbors step3_laid_off"
+        " step4_laid_off step4_threshold halting_reason",
+        defaults=(None, None, None, None, None),
+    )
+):
+    """One pass of the loop: the pass number ``t``, the length ``n_t`` of
+    its ``sequence`` (a ``DegreeSequence``), the Fraction ``sum_bound`` and
+    whether the sum meets it (``sum_bound_ok``). The four step fields are
+    ints, None on a pass that halts at step 1; ``halting_reason`` is a
+    str, None on a pass that goes on."""
 
-    t: int
-    n_t: int
-    sequence: DegreeSequence
-    sum_bound: Fraction
-    sum_bound_ok: bool
-    removed_nonneighbors: Optional[int] = None
-    step3_laid_off: Optional[int] = None
-    step4_laid_off: Optional[int] = None
-    step4_threshold: Optional[int] = None
-    halting_reason: Optional[str] = None
+    __slots__ = ()
 
-    def to_json_dict(self) -> Dict:
+    def to_json_dict(self) -> dict:
         return {
             "t": self.t,
             "nT": self.n_t,
@@ -172,7 +186,7 @@ class ProbeTrace:
         epsilon: Fraction,
         delta: Fraction,
         f: int,
-        warnings: List[str],
+        warnings: list[str],
         precondition_ok: bool,
     ):
         self.n = n
@@ -182,16 +196,16 @@ class ProbeTrace:
         self.f = f
         self.warnings = warnings
         self.precondition_ok = precondition_ok
-        self.init_threshold: Optional[int] = None
-        self.init_laid_off: Optional[int] = None
-        self.init_laid_off_sum: Optional[int] = None
+        self.init_threshold: int | None = None
+        self.init_laid_off: int | None = None
+        self.init_laid_off_sum: int | None = None
         self.early_exit = False
-        self.iterations: List[IterationRecord] = []
-        self.ell: Optional[int] = None
-        self.final: Optional[Dict] = None
-        self.verdict: Optional[ProbeVerdict] = None
+        self.iterations: list[IterationRecord] = []
+        self.ell: int | None = None
+        self.final: dict | None = None
+        self.verdict: ProbeVerdict | None = None
 
-    def removals_accounting(self) -> Dict[str, int]:
+    def removals_accounting(self) -> dict[str, int]:
         """Bookkeeping of every removed term across the run."""
         init = self.init_laid_off or 0
         step2 = sum(r.removed_nonneighbors or 0 for r in self.iterations)
@@ -217,7 +231,7 @@ class ProbeTrace:
         )
         return constant <= Fraction(self.epsilon, 8 * k) * self.n
 
-    def to_json_lines(self) -> List[str]:
+    def to_json_lines(self) -> list[str]:
         head = {
             "record": "config",
             "n": self.n,
@@ -235,7 +249,7 @@ class ProbeTrace:
         lines = [json.dumps(head)]
         for rec in self.iterations:
             lines.append(json.dumps({"record": "iteration", **rec.to_json_dict()}))
-        tail: Dict = {"record": "final", "ell": self.ell}
+        tail: dict = {"record": "final", "ell": self.ell}
         if self.final is not None:
             tail.update(self.final)
         if self.verdict is not None:
@@ -246,7 +260,7 @@ class ProbeTrace:
 
 def _oracle_check(
     seq: DegreeSequence, target: SmallGraph, cfg: ProbeConfig
-) -> Tuple[Optional[bool], Optional[Dict[int, int]]]:
+) -> tuple[bool | None, dict[int, int] | None]:
     """Verify a claimed containment with the exact oracle when in range."""
     if not cfg.oracle_fallback or seq.n > cfg.cap_n or target.k > DEFAULT_CAP_K:
         return None, None
@@ -256,7 +270,7 @@ def _oracle_check(
 
 def run_probe(
     seq: DegreeSequence, h: SmallGraph, cfg: ProbeConfig = ProbeConfig()
-) -> Tuple[ProbeVerdict, ProbeTrace]:
+) -> tuple[ProbeVerdict, ProbeTrace]:
     """Run the iteration on a near-threshold sequence; returns the verdict
     and a full per-iteration audit trace.
 
@@ -307,7 +321,7 @@ def run_probe(
 
 def _iterate(
     seq: DegreeSequence, h: SmallGraph, prof: PotentialProfile, delta: Fraction, f: int, trace: ProbeTrace
-) -> Union[ProbeVerdict, Tuple[str, SmallGraph, str]]:
+) -> ProbeVerdict | tuple[str, SmallGraph, str]:
     """The iteration proper, recorded in ``trace``. Ends in a verdict that
     needs no oracle, or in a claim ``(kind, graph, reason)`` that
     ``run_probe`` verifies: a declaration of potentiality (graph ``h``) or
@@ -441,7 +455,7 @@ def _iterate(
     )
 
 
-def _join_back(h: SmallGraph, prof: PotentialProfile) -> Tuple[str, SmallGraph]:
+def _join_back(h: SmallGraph, prof: PotentialProfile) -> tuple[str, SmallGraph]:
     """What joining the stripped clique back onto the remainder contains:
     H itself when b_h = 0 (Type 1), otherwise the split graph of a clique
     of order k - alpha - 1 and alpha + 1 independent vertices (Type 2)."""
@@ -450,7 +464,7 @@ def _join_back(h: SmallGraph, prof: PotentialProfile) -> Tuple[str, SmallGraph]:
     return FOUND_SPLIT, complete_split(prof.k - prof.alpha - 1, prof.alpha + 1)
 
 
-def _pick_min_maxdeg_subgraph(h: SmallGraph, prof: PotentialProfile, j: int) -> Tuple[SmallGraph, Tuple[int, ...]]:
+def _pick_min_maxdeg_subgraph(h: SmallGraph, prof: PotentialProfile, j: int) -> tuple[SmallGraph, tuple[int, ...]]:
     """Order-j induced subgraph attaining the minimum maximum degree
     nabla_j of the profile ``prof`` of h.
 

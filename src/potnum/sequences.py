@@ -6,9 +6,9 @@ All operations are pure functions on immutable values.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Iterator, Tuple
 
 # The largest integer that text input may ask for: the length of a parsed
 # sequence here, an integer argument of a generator expression there.
@@ -138,7 +138,7 @@ def is_graphic(seq: DegreeSequence) -> bool:
 
 
 @lru_cache(maxsize=1 << 18)
-def _graphic_desc(terms: Tuple[int, ...]) -> bool:
+def _graphic_desc(terms: tuple[int, ...]) -> bool:
     """The Erdős–Gallai test on a nonincreasing tuple, cached: the one
     graphicality routine behind ``is_graphic``, the enumerator's leaf test
     and the residual solver's pruning."""
@@ -188,7 +188,7 @@ def layoff(seq: DegreeSequence, index: int) -> DegreeSequence:
     return DegreeSequence(d)
 
 
-def layoff_batch_below(seq: DegreeSequence, threshold: int) -> Tuple[DegreeSequence, int, int]:
+def layoff_batch_below(seq: DegreeSequence, threshold: int) -> tuple[DegreeSequence, int, int]:
     """Repeatedly lay off a minimum term while it is below ``threshold``.
 
     Ties among minima resolve to the last (rightmost) position, so traces

@@ -9,8 +9,8 @@ in the remaining cell.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import Dict, NamedTuple, Optional, Tuple
 
 from .graphs import (
     SmallGraph,
@@ -39,12 +39,12 @@ class CoverUndefinedError(ValueError):
     """The double-star cover question is ill-posed (k - alpha - 2 < 0)."""
 
 
-class StabilityVerdict(NamedTuple):
-    status: str  # Stable | NotStable | Unknown
-    theorem: Optional[str]  # MainLow | MainHigh | NotStable
-    cover: Optional[Tuple[int, int]]  # (b1, b2) for MainHigh
-    graph: SmallGraph
-    note: str = ""
+class StabilityVerdict(namedtuple("StabilityVerdict", "status theorem cover graph note", defaults=("",))):
+    """``status``: Stable | NotStable | Unknown; ``theorem``: MainLow |
+    MainHigh | NotStable, or None; ``cover``: the pair (b1, b2) for
+    MainHigh, else None; ``graph``: H; ``note``: a str."""
+
+    __slots__ = ()
 
     def witness(self, n: int) -> ExtremalWitness:
         """Non-stability witness sequence at length n (NotStable only)."""
@@ -52,7 +52,7 @@ class StabilityVerdict(NamedTuple):
             raise ValueError("witness sequences exist only for NotStable verdicts")
         return rho(self.graph, n)
 
-    def to_json_dict(self) -> Dict:
+    def to_json_dict(self) -> dict:
         return {
             "status": self.status,
             "theorem": self.theorem,
@@ -64,18 +64,19 @@ class StabilityVerdict(NamedTuple):
         }
 
 
-class WeakVerdict(NamedTuple):
-    status: str  # WeaklyStable | NotWeaklyStable | Unknown
-    basis: Optional[str]  # CliqueWeak | RhoDegreeSufficient | ImpliedBySigmaStable
-    graph: SmallGraph
-    note: str = ""
+class WeakVerdict(namedtuple("WeakVerdict", "status basis graph note", defaults=("",))):
+    """``status``: WeaklyStable | NotWeaklyStable | Unknown; ``basis``:
+    CliqueWeak | RhoDegreeSufficient | ImpliedBySigmaStable, or None;
+    ``graph``: H; ``note``: a str."""
+
+    __slots__ = ()
 
     def witness(self, n: int) -> ExtremalWitness:
         if self.status != NOT_WEAKLY_STABLE:
             raise ValueError("witness sequences exist only for NotWeaklyStable verdicts")
         return rho(self.graph, n)
 
-    def to_json_dict(self) -> Dict:
+    def to_json_dict(self) -> dict:
         return {
             "status": self.status,
             "basis": self.basis,
@@ -86,7 +87,7 @@ class WeakVerdict(NamedTuple):
         }
 
 
-def double_star_cover(h: SmallGraph) -> Optional[Tuple[int, int]]:
+def double_star_cover(h: SmallGraph) -> tuple[int, int] | None:
     """Least (b1, b2), b1 >= b2, b1+b2 = alpha, with h spanning the host
     clique(k-alpha-2) joined to the (b1, b2) double star; None if no pair
     works. Raises CoverUndefinedError when k - alpha - 2 < 0."""

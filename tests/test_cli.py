@@ -1,12 +1,15 @@
 """Command-line surface: outputs, JSON round trips, exit codes."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import potnum
-from potnum.cli import MAX_DIGITS, main
+from potnum.cli import MAX_DIGITS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -200,13 +203,46 @@ def test_all_json_outputs_are_valid_json(capsys):
         json.loads(out)
 
 
-def test_cold_import_skips_dataclasses_and_inspect():
-    # every `potnum` start pays for the modules the CLI imports; these
-    # cost about a third of the import and the records do not need them
-    code = "import sys; sys.path.insert(0, sys.argv[1]); import potnum.cli; print(*sys.modules)"
+def test_cold_start_skips_unused_stdlib_modules():
+    # every `potnum` start pays for the modules it imports. The records need
+    # neither dataclasses and inspect nor typing, and argparse's help
+    # formatter pulls in shutil (with bz2, lzma, zlib and fnmatch) only when
+    # it is given no width
+    code = (
+        "import sys, io, contextlib; sys.path.insert(0, sys.argv[1]); import potnum.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = potnum.cli.main(['dist', '7,1^7', '4,4,1^6', '--json'])\n"
+        "print(code, *sys.modules)"
+    )
     src = str(Path(potnum.__file__).parents[1])
     run = subprocess.run([sys.executable, "-I", "-S", "-c", code, src], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+    status, *loaded = run.stdout.split()
+    assert status == "0" and "potnum.cli" in loaded
+    unused = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "shutil", "bz2", "lzma", "zlib", "fnmatch"}
+    assert not unused & set(loaded)
+    # the workers' path: the package without the CLI
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import potnum; print(*sys.modules)"
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code, src], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
     loaded = set(run.stdout.split())
-    assert "potnum.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert "potnum.oracle" in loaded and "typing" not in loaded
+
+
+@pytest.mark.parametrize("columns", [None, "50", "120"])
+def test_help_width_is_the_terminal_width_argparse_would_take(monkeypatch, columns):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.choices and "probe" in a.choices)
+    width = shutil.get_terminal_size().columns - 2
+    for p in (parser, subparsers.choices["probe"]):
+        assert p.formatter_class(prog=p.prog)._width == width
+
+
+def test_help_smoke(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["-h"])
+    assert done.value.code == 0 and capsys.readouterr().out.startswith("usage: potnum")

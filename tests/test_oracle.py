@@ -499,6 +499,16 @@ def test_sigma_n10_values_and_maximizers():
         assert (got.value, [s.to_text() for s in got.extremal_sequences]) == want[name], name
 
 
+def test_sigma_chain_holds_every_shorter_length():
+    # sigma_exact reaches n through every length from k, and keeps them
+    for name, h in corpus().items():
+        got = sigma_exact(h, 10)
+        assert len(got.chain) == 10 - h.k + 1 and got.chain[-1] == got.value, name
+        for m in range(h.k, 10):
+            assert got.chain[m - h.k] == sigma_exact(h, m).value, (name, m)
+        assert list(got.to_json_dict()) == ["n", "value", "maximizers"]
+
+
 def test_sigma_n11_values():
     k3 = sigma_exact(complete_graph(3), 11, cap_n=11)
     assert (k3.value, len(k3.extremal_sequences)) == (22, 5)

@@ -1,14 +1,69 @@
 """Result records: the checks, immutability and defaults they keep as named tuples."""
 
+from fractions import Fraction
+
 import pytest
 
-from potnum.generators import parse_graph_expr
+from potnum.generators import Call, Gen, GraphExpr, parse_graph_expr
 from potnum.graphs import complete_graph, path_graph
-from potnum.oracle import Realization, canonical_realization, potentially
-from potnum.potential import profile
-from potnum.probe import ProbeConfig, ProbeTrace, run_probe
+from potnum.oracle import (
+    PotentialCertificate,
+    Realization,
+    Refutation,
+    SigmaExact,
+    canonical_realization,
+    potentially,
+)
+from potnum.potential import ExtremalWitness, PotentialProfile, TargetSequence, profile
+from potnum.probe import IterationRecord, ProbeConfig, ProbeTrace, ProbeVerdict, run_probe
 from potnum.sequences import parse_sequence
-from potnum.stability import classify_sigma
+from potnum.stability import StabilityVerdict, WeakVerdict, classify_sigma
+
+
+def test_record_fields_and_defaults():
+    # the public shape of every record: field names in order, and defaults
+    shapes = {
+        Gen: ("name args", {}),
+        Call: ("name operands", {}),
+        Realization: ("graph sequence", {}),
+        PotentialCertificate: (
+            "answer embedding realization exhausted",
+            {"embedding": None, "realization": None, "exhausted": None},
+        ),
+        SigmaExact: ("n value extremal_sequences chain", {}),
+        Refutation: ("rule subsets patterns residual_calls", {"subsets": 0, "patterns": 0, "residual_calls": 0}),
+        PotentialProfile: ("k alpha nabla_table sigma_tilde_i sigma_tilde i_star type_label b_h", {}),
+        TargetSequence: ("i n seq parity_adjusted", {}),
+        ExtremalWitness: ("seq n params", {}),
+        StabilityVerdict: ("status theorem cover graph note", {"note": ""}),
+        WeakVerdict: ("status basis graph note", {"note": ""}),
+        ProbeConfig: (
+            "epsilon delta f_override oracle_fallback cap_n",
+            {"epsilon": Fraction(1, 4), "delta": None, "f_override": None, "oracle_fallback": True, "cap_n": 10},
+        ),
+        ProbeVerdict: (
+            "kind subgraph embedding target distance reason verified",
+            dict.fromkeys(("subgraph", "embedding", "target", "distance", "reason", "verified")),
+        ),
+        IterationRecord: (
+            "t n_t sequence sum_bound sum_bound_ok removed_nonneighbors step3_laid_off"
+            " step4_laid_off step4_threshold halting_reason",
+            dict.fromkeys(("removed_nonneighbors", "step3_laid_off", "step4_laid_off", "step4_threshold", "halting_reason")),
+        ),
+    }
+    for record, (fields, defaults) in shapes.items():
+        assert record._fields == tuple(fields.split()), record.__name__
+        assert record._field_defaults == defaults, record.__name__
+
+
+def test_record_behaviour_kept():
+    assert not Refutation("degree") and not Refutation("full_search", 1, 2, 3)
+    assert PotentialCertificate(answer=False)._asdict() == {
+        "answer": False, "embedding": None, "realization": None, "exhausted": None,
+    }
+    for text in ("K 3", "join(K 2, complement(C 5))"):
+        assert isinstance(parse_graph_expr(text), GraphExpr)
+    assert not isinstance(("K", (3,)), GraphExpr)
 
 
 def test_realization_rejects_mismatched_degrees():
