@@ -248,7 +248,7 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--cap-n", type=int, default=DEFAULT_CAP_N, help="oracle length cap")
+        p.add_argument("--cap-n", type=int, default=DEFAULT_CAP_N, help="oracle length and expression order cap")
 
     p = sub.add_parser("analyze", help="profile a graph and classify its stability")
     p.add_argument("graph")
@@ -288,7 +288,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("dist", help="l1 distance between two sequences")
     p.add_argument("sequence_a")
     p.add_argument("sequence_b")
-    common(p)
+    p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(func=cmd_dist)
 
     return parser

@@ -191,7 +191,6 @@ def complement(g: SmallGraph) -> SmallGraph:
 # Invariants
 
 
-@lru_cache(maxsize=1 << 12)
 def independence_number(g: SmallGraph) -> int:
     """Exact maximum independent set size by branch and bound."""
     return _grow(g.adj, (1 << g.k) - 1, 0, 0)

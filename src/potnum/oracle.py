@@ -15,10 +15,7 @@ the host's edges itself and asks only that the rest be graphic, so a leaf
 that passes is graphic and has a realization containing H. Only a leaf
 that fails it gets the Erdős–Gallai test, and only a graphic leaf that
 fails it is decided, so that few sequences that cannot refute are
-decided. Once the first k terms are placed, a prefix whose terms fail the
-split test's own conditions (d_r >= k-1 and d_k >= r for the host
-K_r + s independent vertices) makes no split test in its subtree: every
-completion would fail it.
+decided.
 
 A frame that places a term at position k or later ends its loop at the
 first value whose greedy completion holds the host. Every sequence the
@@ -549,12 +546,6 @@ def _extend_prefix(
     parent placed, skips the test when the parent, at q - 1 >= k, made it.
     That completion is the one for the top before the clique prune and
     the bound ``least`` lower it; once either has, no value skips the test.
-
-    At q = k the first k terms are fixed. When they fail ``_split_heads``,
-    the split test's first check, every completion fails the test too, so
-    the frame drops the host: it and its subtree, to which it passes None
-    for the host and the same k, make neither greedy nor leaf split tests.
-    A deeper frame that still holds the host has passed the check.
     """
     r = total - placed
     slots = n - q
@@ -579,8 +570,6 @@ def _extend_prefix(
         top = cut
     base = q1 * (q1 - 1)
     tail = slots - 1
-    if host and q == k and not _split_heads(terms, *host):
-        host = None  # no completion of this prefix holds the host
     greedy = host and q >= k
     if greedy:
         head = tuple(terms[:q])
@@ -608,27 +597,18 @@ def _extend_prefix(
             out.append(leaf)
 
 
-def _split_heads(terms: Sequence[int], r: int, s: int) -> bool:
-    """The split test's conditions on the host's own positions, for
-    nonincreasing ``terms`` of length r+s or more: d_r >= r+s-1 (each
-    clique vertex reaches the rest of the host) and d_{r+s} >= r (each
-    independent vertex reaches the clique). They read the first r+s terms
-    only, so once those are placed, a prefix that fails them fails
-    ``_split_holds`` in every completion."""
-    return not ((r and terms[r - 1] < r + s - 1) or (s and terms[r + s - 1] < r))
-
-
 def _split_holds(terms: tuple[int, ...], r: int, s: int) -> bool:
     """Does ``terms`` (nonincreasing, terms >= 0) have a realization that
     contains ``complete_split(r, s)``? True only if one is found, which
     also proves ``terms`` graphic.
 
     The clique goes on positions 0..r-1 and is joined to positions
-    r..r+s-1, whose terms must pass ``_split_heads``. Each clique vertex
-    in turn lays off its leftover demand, d_i - (r+s-1), onto the largest
-    remaining terms past position r+s, which are re-sorted after each
-    vertex. The answer is the graphicity of what is left on positions r..
-    (the s terms less r, then the rest).
+    r..r+s-1, so it needs d_r >= r+s-1 (each clique vertex reaches the
+    rest of the host) and d_{r+s} >= r (each independent vertex reaches
+    the clique). Each clique vertex in turn lays off its leftover demand,
+    d_i - (r+s-1), onto the largest remaining terms past position r+s,
+    which are re-sorted after each vertex. The answer is the graphicity
+    of what is left on positions r.. (the s terms less r, then the rest).
 
     Sound by construction: any realization of that residual, plus the
     clique, join and layoff edges placed here, is a simple realization of
@@ -638,7 +618,7 @@ def _split_holds(terms: tuple[int, ...], r: int, s: int) -> bool:
     against ``_decide``, not assumed.
     """
     m = r + s
-    if len(terms) < m or not _split_heads(terms, r, s):
+    if len(terms) < m or (r and terms[r - 1] < m - 1) or (s and terms[m - 1] < r):
         return False
     rest = list(terms[m:])
     for d in terms[:r]:

@@ -1,5 +1,7 @@
 """Command-line surface: outputs, JSON round trips, exit codes."""
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import potnum
 from potnum.cli import MAX_DIGITS, build_parser, main
@@ -181,6 +184,12 @@ def test_probe_without_the_oracle(capsys):
     assert code == 0 and json.loads(out) == {"verdict": "declared_potential", "reason": "init_guard"}
 
 
+def test_dist_takes_no_cap(capsys):
+    # dist reads no graph and calls no oracle, so there is nothing to cap
+    code, _, err = run_cli(capsys, "dist", "4,4,1^6", "7,1^7", "--cap-n", "3")
+    assert code == 1 and err.startswith("usage error:")
+
+
 def test_exit_code_cap_exceeded(capsys):
     # an oracle length above the cap, then graph orders above it
     for argv in (("sigma", "K 3", "12"), ("analyze", "K 16"), ("check", "2,2,2", "K 12")):
@@ -246,3 +255,110 @@ def test_help_smoke(capsys):
     with pytest.raises(SystemExit) as done:
         main(["-h"])
     assert done.value.code == 0 and capsys.readouterr().out.startswith("usage: potnum")
+
+
+# argv drawn from the command grammar (graphs on at most 6 vertices,
+# lengths of at most 8), each slot now and then replaced by a bad token
+
+
+def _graph(budget, depth):
+    """Graph expressions of order at most ``budget``, calls nested at most
+    ``depth`` deep."""
+    sizes = st.integers(1, budget)
+    leaves = [
+        st.builds("{} {}".format, st.sampled_from(["K", "Kbar", "C", "P"]), sizes),
+        sizes.flatmap(lambda m: st.builds(
+            "{} {} {}".format, st.sampled_from(["Kbip", "split"]), st.just(m), st.integers(0, budget - m))),
+        st.integers(0, budget // 2).map(lambda t: f"friendship {t}"),
+    ]
+    if budget >= 2:
+        leaves.append(st.integers(0, budget - 2).flatmap(
+            lambda b: st.integers(0, budget - 2 - b).map(lambda c: f"dstar {b} {c}")))
+    if depth and budget >= 2:
+        leaves.append(_graph(budget, depth - 1).map(lambda g: f"complement({g})"))
+        leaves.append(st.integers(1, budget - 1).flatmap(lambda a: st.builds(
+            "{}({}, {})".format, st.sampled_from(["join", "union"]),
+            _graph(a, depth - 1), _graph(budget - a, depth - 1))))
+    return st.one_of(leaves)
+
+
+def _or(good, bad):
+    """``good``, or one time in four ``bad``."""
+    return st.integers(0, 3).flatmap(lambda i: bad if i == 0 else good)
+
+
+# integers past every cap: lengths, orders and repeat counts, 1000 digits
+# and more, and more than the 4,300 digits Python converts
+_HUGE = st.sampled_from(["11", "17", "1000001", "1" * 1001, "9" * 1200, "-" + "1" * 1001, "1" * 5000])
+_GRAPH = _or(_graph(6, 2), st.one_of(
+    st.sampled_from(["frob", "Q 3", "K", "join(K 2)", "", "K 12", "K 17", "Kbip 9 9", "friendship 9"]),
+    _HUGE.map("K {}".format),
+))
+_LENGTH = st.integers(1, 8).map(str)
+
+
+def _degrees(n, edges):
+    degrees = [0] * n
+    for u, v in edges:
+        if u != v:
+            degrees[u] += 1
+            degrees[v] += 1
+    return ",".join(map(str, sorted(degrees, reverse=True)))
+
+
+# graphic sequences of length at most 8, as the degrees of a drawn graph
+_SEQ = _or(
+    st.integers(1, 8).flatmap(lambda n: st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))).map(
+        lambda edges: _degrees(n, {(min(e), max(e)) for e in edges}))),
+    st.one_of(st.sampled_from(["1^12", "3^20", "3,1", "frob", "", "1,,2"]), _HUGE, _HUGE.map("1^{}".format)),
+)
+_FRACTION = _or(st.sampled_from(["1/4", "1/3", "0.1", "1/1000"]), st.sampled_from(["1/0", "-1/4", "2", "abc"]))
+_COMMON = st.lists(
+    st.one_of(st.just(["--json"]), _or(st.integers(0, 10).map(str), _HUGE).map(lambda c: ["--cap-n", c])),
+    max_size=2,
+)
+_OPTIONS = st.lists(st.one_of(
+    st.just(["--trace"]), st.just(["--no-oracle"]),
+    _or(st.integers(-1, 6).map(str), _HUGE).map(lambda f: ["--f-override", f]),
+    _FRACTION.map(lambda e: ["--epsilon", e]),
+    _FRACTION.map(lambda e: ["--delta", e]),
+), max_size=3)
+_COMMANDS = st.one_of(
+    st.tuples(st.just("analyze"), _GRAPH, _COMMON),
+    st.tuples(st.just("build"), _GRAPH, st.one_of(
+        st.tuples(st.just("pi_tilde"), st.integers(0, 7).map(str), _or(_LENGTH, _HUGE)),
+        st.tuples(st.sampled_from(["rho", "family"]), _or(_LENGTH, _HUGE)),
+    ), _COMMON),
+    st.tuples(st.just("check"), _SEQ, _GRAPH, _COMMON),
+    st.tuples(st.just("sigma"), _GRAPH, _or(_LENGTH, _HUGE), _COMMON),
+    st.tuples(st.just("probe"), _SEQ, _GRAPH, _OPTIONS, _COMMON),
+    st.tuples(st.just("dist"), _SEQ, _SEQ, st.lists(st.just("--json"), max_size=1)),
+)
+
+
+def _flatten(parts):
+    for part in parts:
+        if isinstance(part, str):
+            yield part
+        else:
+            yield from _flatten(part)
+
+
+@settings(max_examples=400, deadline=2000, derandomize=True)
+@given(
+    parts=_COMMANDS,
+    # an unknown command or option in place of a token
+    mutation=_or(st.none(), st.tuples(st.integers(1, 20), st.sampled_from(["frob", "--frob"]))),
+)
+def test_cli_exits_with_a_documented_code_and_message(parts, mutation):
+    argv = list(_flatten(parts))
+    if mutation is not None:
+        at, token = mutation
+        argv[at % len(argv)] = token
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    message = err.getvalue()
+    assert code in (0, 1, 2), (argv, message)
+    assert not message or message.startswith(("error:", "usage error:", "cap exceeded")), (argv, message)
+    assert "Traceback" not in message and "internal invariant" not in message, argv

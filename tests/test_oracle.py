@@ -539,11 +539,10 @@ def test_sigma_identity_n8_to_n11():
 
 def test_sigma_scan_leaf_count(monkeypatch):
     # the Yin–Li subtree skip, the Erdős–Gallai prefix bound, the
-    # greedy-completion break, the skip of prefixes that fail
-    # ``_split_heads`` and the smallest-term skip change no answer, since
-    # the leaf tests drop what they skip, so only the work shows them: a
-    # lost prune raises the number of split tests. Each count is (leaf
-    # tests, greedy-completion tests): a frame tests the greedy completion
+    # greedy-completion break and the smallest-term skip change no answer,
+    # since the leaf tests drop what they skip, so only the work shows
+    # them: a lost prune raises the number of split tests. Each count is
+    # (leaf tests, greedy-completion tests): a frame tests the greedy completion
     # of each value before it descends, and a leaf's own test is made in
     # the loop that forces the last term (the caller's ``tail`` is 1
     # there, or not yet bound in a top frame of length 0 or 1). The counts
@@ -561,8 +560,8 @@ def test_sigma_scan_leaf_count(monkeypatch):
         counts[name] = [0, 0]
         sigma_exact(h, 10)
     assert {name: tuple(c) for name, c in counts.items()} == {
-        "K3": (5, 10), "K4": (5, 22), "C5": (21, 106), "C6": (78, 47),
-        "P4": (11, 11), "K23": (50, 515), "split23": (84, 283), "friendship2": (21, 106),
+        "K3": (5, 29), "K4": (5, 37), "C5": (46, 219), "C6": (151, 266),
+        "P4": (21, 65), "K23": (62, 556), "split23": (85, 286), "friendship2": (46, 219),
     }
 
 
