@@ -225,6 +225,12 @@ def nabla(h: SmallGraph, i: int) -> int:
     a = independence_number(h)
     if not a + 1 <= i <= h.k:
         raise ValueError(f"order {i} outside valid range {a + 1}..{h.k}")
+    return _min_induced_max_degree(h, i)
+
+
+def _min_induced_max_degree(h: SmallGraph, i: int) -> int:
+    """``nabla`` without its range check, for a caller that knows
+    alpha(h) < i <= k."""
     best = h.k
     for subset in combinations(range(h.k), i):
         mask = 0

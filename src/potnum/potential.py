@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import lru_cache
+from types import MappingProxyType
 
-from .graphs import SmallGraph, deleted_family, independence_number, nabla
+from .graphs import SmallGraph, _min_induced_max_degree, deleted_family, independence_number
 from .sequences import DegreeSequence, is_graphic
 
 
@@ -22,10 +23,10 @@ class PotentialProfile(
     namedtuple("PotentialProfile", "k alpha nabla_table sigma_tilde_i sigma_tilde i_star type_label b_h")
 ):
     """The profile of H: order ``k`` and independence number ``alpha``;
-    ``nabla_table`` and ``sigma_tilde_i``, dicts from each order i in
-    alpha+1..k to nabla_i and to sigma_tilde_i; the ints ``sigma_tilde``
-    and ``i_star``; ``type_label``, "Type1" or "Type2"; and ``b_h``, 0 for
-    Type1 and 1 for Type2."""
+    ``nabla_table`` and ``sigma_tilde_i``, read-only mappings from each
+    order i in alpha+1..k to nabla_i and to sigma_tilde_i; the ints
+    ``sigma_tilde`` and ``i_star``; ``type_label``, "Type1" or "Type2";
+    and ``b_h``, 0 for Type1 and 1 for Type2."""
 
     __slots__ = ()
 
@@ -89,7 +90,7 @@ def profile(h: SmallGraph) -> PotentialProfile:
         raise ValueError("profile requires a graph with at least one edge")
     k = h.k
     alpha = independence_number(h)
-    nabla_table = {i: nabla(h, i) for i in range(alpha + 1, k + 1)}
+    nabla_table = {i: _min_induced_max_degree(h, i) for i in range(alpha + 1, k + 1)}
     sigma_i = {i: 2 * (k - i) + nabla_table[i] - 1 for i in nabla_table}
     sigma_tilde = max(sigma_i.values())
     i_star = min(i for i, v in sigma_i.items() if v == sigma_tilde)
@@ -104,8 +105,8 @@ def profile(h: SmallGraph) -> PotentialProfile:
     return PotentialProfile(
         k=k,
         alpha=alpha,
-        nabla_table=nabla_table,
-        sigma_tilde_i=sigma_i,
+        nabla_table=MappingProxyType(nabla_table),
+        sigma_tilde_i=MappingProxyType(sigma_i),
         sigma_tilde=sigma_tilde,
         i_star=i_star,
         type_label=type_label,

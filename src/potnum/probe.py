@@ -23,6 +23,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .graphs import (
+    CapExceededError,
     SmallGraph,
     complete_graph,
     complete_split,
@@ -30,7 +31,6 @@ from .graphs import (
     join,
 )
 from .oracle import (
-    DEFAULT_CAP_K,
     DEFAULT_CAP_N,
     canonical_realization,
     potentially,
@@ -167,43 +167,27 @@ class IterationRecord(
         }
 
 
-class ProbeTrace:
-    """The audit trace of one run, and the package's one mutable record:
-    ``run_probe`` fills in the fields after ``precondition_ok`` as the
-    iteration reaches them."""
-
-    __slots__ = (
-        "n", "sigma", "epsilon", "delta", "f", "warnings", "precondition_ok",
-        "init_threshold", "init_laid_off", "init_laid_off_sum", "early_exit",
-        "iterations", "ell", "final", "verdict",
+class ProbeTrace(
+    namedtuple(
+        "ProbeTrace",
+        "n sigma epsilon delta f warnings precondition_ok init_threshold init_laid_off"
+        " init_laid_off_sum early_exit iterations ell final verdict",
+        defaults=(None, None, None, False, (), None, None, None),
     )
+):
+    """The audit trace of one run, built once its verdict is known: the
+    length ``n`` and sum ``sigma`` of the input, the Fractions ``epsilon``
+    and ``delta`` and the cutoff ``f`` it ran with, its ``warnings`` (a
+    list of str) and whether the sum met the precondition
+    (``precondition_ok``). Then what the iteration reached, None where it
+    stopped before: the initial lay-off's ``init_threshold``,
+    ``init_laid_off`` and ``init_laid_off_sum`` (ints); ``early_exit``, true
+    when the Yin–Li test fired on the input; ``iterations``, a tuple of
+    ``IterationRecord``s, one per pass; and, on a run that leaves the loop,
+    its pass count ``ell`` and the halt analysis's ``final`` dict. Last, the
+    ``verdict`` (a ``ProbeVerdict``)."""
 
-    def __init__(
-        self,
-        *,
-        n: int,
-        sigma: int,
-        epsilon: Fraction,
-        delta: Fraction,
-        f: int,
-        warnings: list[str],
-        precondition_ok: bool,
-    ):
-        self.n = n
-        self.sigma = sigma
-        self.epsilon = epsilon
-        self.delta = delta
-        self.f = f
-        self.warnings = warnings
-        self.precondition_ok = precondition_ok
-        self.init_threshold: int | None = None
-        self.init_laid_off: int | None = None
-        self.init_laid_off_sum: int | None = None
-        self.early_exit = False
-        self.iterations: list[IterationRecord] = []
-        self.ell: int | None = None
-        self.final: dict | None = None
-        self.verdict: ProbeVerdict | None = None
+    __slots__ = ()
 
     def removals_accounting(self) -> dict[str, int]:
         """Bookkeeping of every removed term across the run."""
@@ -261,10 +245,15 @@ class ProbeTrace:
 def _oracle_check(
     seq: DegreeSequence, target: SmallGraph, cfg: ProbeConfig
 ) -> tuple[bool | None, dict[int, int] | None]:
-    """Verify a claimed containment with the exact oracle when in range."""
-    if not cfg.oracle_fallback or seq.n > cfg.cap_n or target.k > DEFAULT_CAP_K:
+    """Verify a claimed containment with the exact oracle: (None, None)
+    when the fallback is off or the claim lies past one of the oracle's
+    caps."""
+    if not cfg.oracle_fallback:
         return None, None
-    cert = potentially(seq, target, cap_n=cfg.cap_n)
+    try:
+        cert = potentially(seq, target, cap_n=cfg.cap_n)
+    except CapExceededError:
+        return None, None
     return cert.answer, cert.embedding
 
 
@@ -272,14 +261,15 @@ def run_probe(
     seq: DegreeSequence, h: SmallGraph, cfg: ProbeConfig = ProbeConfig()
 ) -> tuple[ProbeVerdict, ProbeTrace]:
     """Run the iteration on a near-threshold sequence; returns the verdict
-    and a full per-iteration audit trace.
+    and a full per-iteration audit trace, built once the verdict is known.
 
     Caller-facing guarantees: found_h, found_split, and declared_potential
-    verdicts below the caps are oracle-verified unless ``oracle_fallback``
-    is off (a refuted claim degrades to inconclusive with the failed guard
-    named), and close_to_target names the member of the target family it
-    is near (a nearby target of an order outside the family is
-    inconclusive).
+    verdicts within the oracle's caps are oracle-verified unless
+    ``oracle_fallback`` is off (a refuted claim degrades to inconclusive
+    with the failed guard named), a claim past any of those caps (the
+    16-vertex realization cap among them) is reported unverified, and
+    close_to_target names the member of the target family it is near (a
+    nearby target of an order outside the family is inconclusive).
     """
     if not is_graphic(seq):
         raise ValueError(f"sequence {seq.to_text()} is not graphic")
@@ -291,11 +281,7 @@ def run_probe(
         warnings = warnings + [
             f"sum {sigma} below (sigma_tilde - delta) * n = {(prof.sigma_tilde - delta) * n}"
         ]
-    trace = ProbeTrace(
-        n=n, sigma=sigma, epsilon=Fraction(cfg.epsilon), delta=delta, f=f,
-        warnings=warnings, precondition_ok=precondition_ok,
-    )
-    verdict = _iterate(seq, h, prof, delta, f, trace)
+    verdict, reached = _iterate(seq, h, prof, delta, f)
     if not isinstance(verdict, ProbeVerdict):
         # a claim below the cap is never emitted unconfirmed: the guard and
         # halt arguments assume large lengths, so a refuted one degrades to
@@ -315,32 +301,35 @@ def run_probe(
             verdict = ProbeVerdict(
                 kind=kind, subgraph=graph, embedding=emb, reason=reason, verified=ok
             )
-    trace.verdict = verdict
-    return verdict, trace
+    return verdict, ProbeTrace(
+        n, sigma, Fraction(cfg.epsilon), delta, f, warnings, precondition_ok, verdict=verdict, **reached
+    )
 
 
 def _iterate(
-    seq: DegreeSequence, h: SmallGraph, prof: PotentialProfile, delta: Fraction, f: int, trace: ProbeTrace
-) -> ProbeVerdict | tuple[str, SmallGraph, str]:
-    """The iteration proper, recorded in ``trace``. Ends in a verdict that
-    needs no oracle, or in a claim ``(kind, graph, reason)`` that
-    ``run_probe`` verifies: a declaration of potentiality (graph ``h``) or
-    a found subgraph."""
+    seq: DegreeSequence, h: SmallGraph, prof: PotentialProfile, delta: Fraction, f: int
+) -> tuple[ProbeVerdict | tuple[str, SmallGraph, str], dict]:
+    """The iteration proper. Returns its outcome and the ``ProbeTrace``
+    fields it reached, by name. The outcome is a verdict that needs no
+    oracle, or a claim ``(kind, graph, reason)`` that ``run_probe``
+    verifies: a declaration of potentiality (graph ``h``) or a found
+    subgraph."""
     k, alpha, b_h = prof.k, prof.alpha, prof.b_h
     i_star, nab = prof.i_star, prof.nabla_table[prof.i_star]
     n = seq.n
 
     # early exit on the input sequence, before any terms are laid off
     if n >= 2 * k and seq.term(2 * k) >= k - 1:
-        trace.early_exit = True
-        return DECLARED_POTENTIAL, h, REASON_EARLY_EXIT
+        return (DECLARED_POTENTIAL, h, REASON_EARLY_EXIT), {"early_exit": True}
 
     # initialization: raise the minimum term to ceil(sigma / 2n)
-    trace.init_threshold = math.ceil(Fraction(trace.sigma, 2 * n)) if n else 0
-    cur, trace.init_laid_off, trace.init_laid_off_sum = layoff_batch_below(seq, trace.init_threshold)
-    if trace.init_laid_off > 2 * delta * n / (1 + delta):
-        return DECLARED_POTENTIAL, h, REASON_INIT_GUARD
+    init_threshold = -(-seq.sum() // (2 * n)) if n else 0
+    cur, init_laid_off, init_laid_off_sum = layoff_batch_below(seq, init_threshold)
+    reached = dict(init_threshold=init_threshold, init_laid_off=init_laid_off, init_laid_off_sum=init_laid_off_sum)
+    if init_laid_off > 2 * delta * n / (1 + delta):
+        return (DECLARED_POTENTIAL, h, REASON_INIT_GUARD), reached
 
+    passes = []
     t = 0
     while True:
         bound = (2 * (k - i_star) + nab - 1 - (t + 1) * delta - 2 * t) * cur.n
@@ -349,7 +338,7 @@ def _iterate(
         at_limit = t == k - alpha - b_h
         if at_limit or cur.n == 0 or cur.terms[0] < cur.n - f:
             reason = "iteration_limit" if at_limit else "max_degree_small"
-            trace.iterations.append(IterationRecord(*head, halting_reason=reason))
+            passes.append(IterationRecord(*head, halting_reason=reason))
             break
         # step 2: drop the non-neighbors of the top vertex of a canonical
         # realization
@@ -365,25 +354,28 @@ def _iterate(
         # a degenerate delta (warned about in resolve) falls through instead
         # of declaring unsoundly
         guard = 1 - k * delta > 0 and j4 >= Fraction(t + 3) * delta * cur.n / (1 - k * delta)
-        trace.iterations.append(IterationRecord(
+        passes.append(IterationRecord(
             *head, removed_nonneighbors=cur.n - len(keep), step3_laid_off=1,
             step4_laid_off=j4, step4_threshold=threshold,
             halting_reason=REASON_STEP4_GUARD if guard else None,
         ))
         if guard:
-            return DECLARED_POTENTIAL, h, REASON_STEP4_GUARD
+            reached["iterations"] = tuple(passes)
+            return (DECLARED_POTENTIAL, h, REASON_STEP4_GUARD), reached
         cur = nxt
         t += 1
 
-    ell = trace.ell = t
+    ell = t
     n_ell = cur.n
     floor_needed = k - ell - alpha - b_h
-    trace.final = {
+    final = {
         "eta": DegreeSequence(
             [n_ell + ell - 1] * ell + [d + ell for d in cur.terms]
         ).to_text(),
         "sEll": {"clique": max(floor_needed, 0), "independent": alpha + b_h},
     }
+    reached.update(iterations=tuple(passes), ell=ell, final=final)
+
     if at_limit:
         if n_ell < alpha + b_h:
             return ProbeVerdict(
@@ -392,10 +384,10 @@ def _iterate(
                     f"iteration limit reached with only {n_ell} terms left; "
                     f"need {alpha + b_h} for the join-back"
                 ),
-            )
+            ), reached
         kind, graph = _join_back(h, prof)
         outcome = "covers the graph" if kind == FOUND_H else "yields the split graph"
-        return kind, graph, f"iteration limit: clique join-back {outcome}"
+        return (kind, graph, f"iteration limit: clique join-back {outcome}"), reached
 
     # halted with ell < k - alpha - b_h and small maximum degree
     min_term = cur.terms[-1] if cur.n else 0
@@ -406,21 +398,21 @@ def _iterate(
                 f"minimum term {min_term} below the floor {floor_needed} "
                 f"required by the halt analysis"
             ),
-        )
+        ), reached
 
     s_ell = complete_split(floor_needed, alpha + b_h)
     if degree_sufficient(cur, s_ell.degree_sequence()):
         # bounded-max-degree hypotheses hold: d1 < n_ell - f by the halt,
         # minimum term at least the split's minimum degree checked above
-        trace.final["branch"] = "bounded_max_degree"
+        final["branch"] = "bounded_max_degree"
         return (
             *_join_back(h, prof),
             "degree-sufficient for the split remainder under a small maximum degree",
-        )
+        ), reached
 
     # p = the number of terms at least k - ell - 1 (the terms are nonincreasing)
     p = sum(d >= k - ell - 1 for d in cur.terms)
-    trace.final["p"] = p
+    final["p"] = p
     if p >= floor_needed:
         return ProbeVerdict(
             kind=INCONCLUSIVE,
@@ -428,19 +420,19 @@ def _iterate(
                 f"p = {p} not below k - ell - alpha - b = {floor_needed}; "
                 "halt analysis inapplicable"
             ),
-        )
+        ), reached
     idx = k - ell - p
     f_graph, f_vertices = _pick_min_maxdeg_subgraph(h, prof, idx)
-    trace.final["fSubgraphVertices"] = list(f_vertices)
+    final["fSubgraphVertices"] = list(f_vertices)
     host = join(complete_graph(p), f_graph)
     if degree_sufficient(cur, host.degree_sequence()):
-        trace.final["branch"] = "clique_plus_subgraph"
-        return FOUND_H, h, "degree-sufficient for a clique joined onto an induced subgraph"
-    trace.final["branch"] = "near_target"
+        final["branch"] = "clique_plus_subgraph"
+        return (FOUND_H, h, "degree-sufficient for a clique joined onto an induced subgraph"), reached
+    final["branch"] = "near_target"
     try:
-        tgt = target_sequence(h, idx, trace.n)
+        tgt = target_sequence(h, idx, seq.n)
     except ValueError as exc:
-        return ProbeVerdict(kind=INCONCLUSIVE, reason=f"target sequence unavailable: {exc}")
+        return ProbeVerdict(kind=INCONCLUSIVE, reason=f"target sequence unavailable: {exc}"), reached
     if prof.sigma_tilde_i.get(idx) != prof.sigma_tilde:
         return ProbeVerdict(
             kind=INCONCLUSIVE,
@@ -449,10 +441,10 @@ def _iterate(
                 f"coefficient {prof.sigma_tilde_i.get(idx)} is not sigma_tilde = "
                 f"{prof.sigma_tilde}"
             ),
-        )
+        ), reached
     return ProbeVerdict(
         kind=CLOSE_TO_TARGET, target=tgt, distance=l1_distance(seq, tgt.seq)
-    )
+    ), reached
 
 
 def _join_back(h: SmallGraph, prof: PotentialProfile) -> tuple[str, SmallGraph]:

@@ -13,6 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 import potnum
 from potnum.cli import MAX_DIGITS, build_parser, main
+from potnum.generators import graph_from_text
+from potnum.probe import ProbeConfig, run_probe
+from potnum.sequences import parse_sequence
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +110,20 @@ def test_probe_human_and_trace(capsys):
     records = [json.loads(line) for line in out.strip().splitlines()]
     assert records[0]["record"] == "config"
     assert records[-1]["record"] == "final"
+
+
+def test_probe_verdict_does_not_depend_on_a_larger_cap(capsys):
+    # at cap 20 the oracle takes the 17-term claim, and its 16-vertex
+    # realization cap leaves the claim unverified, as the length cap does
+    sequence, graph = parse_sequence("2^17"), graph_from_text("K 3")
+    verdicts = []
+    for extra in ((), ("--cap-n", "20")):
+        cfg = ProbeConfig(cap_n=int(extra[1])) if extra else ProbeConfig()
+        verdicts.append(run_probe(sequence, graph, cfg)[0].to_json_dict())
+        code, out, _ = run_cli(capsys, "probe", "2^17", "K 3", "--json", *extra)
+        assert code == 0
+        verdicts.append(json.loads(out))
+    assert verdicts == [{"verdict": "declared_potential", "reason": "yin_li_early_exit"}] * 4
 
 
 def test_graph_file_input(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import pytest
 
+import potnum.graphs
+import potnum.potential
 from potnum.graphs import (
     SmallGraph,
     complete_bipartite,
@@ -72,6 +74,30 @@ def test_profile_type2_forces_unit_nabla():
         p = profile(h)
         if p.is_type2:
             assert p.nabla_table[p.alpha + 1] == 1
+
+
+def test_profile_mappings_are_read_only():
+    # the cached profile is shared, so its tables refuse writes
+    c6 = cycle_graph(6)
+    p = profile(c6)
+    for table in (p.nabla_table, p.sigma_tilde_i):
+        with pytest.raises(TypeError):
+            table[4] = 99
+    assert profile(c6).nabla_table == {4: 1, 5: 2, 6: 2}
+    assert target_sequence(c6, 4, 10).seq.terms[-1] == 2
+
+
+def test_profile_computes_alpha_once(monkeypatch):
+    original, calls = potnum.graphs.independence_number, []
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(potnum.graphs, "independence_number", counted)
+    monkeypatch.setattr(potnum.potential, "independence_number", counted)
+    profile.__wrapped__(cycle_graph(6))
+    assert len(calls) == 1
 
 
 def test_profile_rejects_edgeless():

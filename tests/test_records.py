@@ -1,9 +1,12 @@
 """Result records: the checks, immutability and defaults they keep as named tuples."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import potnum
 from potnum.generators import Call, Gen, GraphExpr, parse_graph_expr
 from potnum.graphs import complete_graph, path_graph
 from potnum.oracle import (
@@ -50,6 +53,14 @@ def test_record_fields_and_defaults():
             " step4_laid_off step4_threshold halting_reason",
             dict.fromkeys(("removed_nonneighbors", "step3_laid_off", "step4_laid_off", "step4_threshold", "halting_reason")),
         ),
+        ProbeTrace: (
+            "n sigma epsilon delta f warnings precondition_ok init_threshold init_laid_off"
+            " init_laid_off_sum early_exit iterations ell final verdict",
+            {
+                "init_threshold": None, "init_laid_off": None, "init_laid_off_sum": None, "early_exit": False,
+                "iterations": (), "ell": None, "final": None, "verdict": None,
+            },
+        ),
     }
     for record, (fields, defaults) in shapes.items():
         assert record._fields == tuple(fields.split()), record.__name__
@@ -84,6 +95,7 @@ def test_frozen_records_refuse_assignment():
         (profile(k3), "sigma_tilde"),  # potential
         (classify_sigma(k3), "status"),  # stability
         (ProbeConfig(), "epsilon"),  # probe
+        (run_probe(parse_sequence("7,1^7"), k3, ProbeConfig(f_override=4))[1], "verdict"),
         (run_probe(parse_sequence("7,1^7"), k3, ProbeConfig(f_override=4))[1].iterations[0], "t"),
     ]
     for record, field in records:
@@ -91,8 +103,45 @@ def test_frozen_records_refuse_assignment():
             setattr(record, field, None)
 
 
-def test_probe_traces_do_not_share_iterations():
-    fields = dict(n=1, sigma=0, epsilon=0, delta=0, f=1, warnings=[], precondition_ok=True)
-    a, b = ProbeTrace(**fields), ProbeTrace(**fields)
-    a.iterations.append(None)
-    assert b.iterations == []
+def test_probe_trace_is_built_whole():
+    # run_probe builds its trace once, with the verdict and a tuple of passes
+    verdict, trace = run_probe(parse_sequence("7,1^7"), complete_graph(3), ProbeConfig(f_override=4))
+    assert trace.verdict is verdict
+    assert isinstance(trace.iterations, tuple) and len(trace.iterations) == trace.ell + 1
+
+
+# Classes that are neither records nor exceptions, each immutable or private
+# on purpose; a new one is added here with its reason
+AUDITED_CLASSES = {
+    "potnum.sequences.DegreeSequence",  # a value with its own methods and order
+    "potnum.graphs.SmallGraph",  # a value with its own methods and hash
+    "potnum.cli._Parser",  # argparse's parser, raising in place of exiting
+}
+
+
+def _classes():
+    """Every class that a potnum module defines, by qualified name."""
+    found = {}
+    for info in pkgutil.iter_modules(potnum.__path__):
+        module = importlib.import_module(f"potnum.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                found[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    return found
+
+
+def test_every_class_is_a_record_an_error_or_audited():
+    others = set()
+    for name, cls in _classes().items():
+        is_record = issubclass(cls, tuple) and hasattr(cls, "_fields") and cls.__slots__ == ()
+        if not (is_record or issubclass(cls, Exception)):
+            others.add(name)
+    assert others == AUDITED_CLASSES
+
+
+def test_audited_values_refuse_assignment():
+    for value, field in ((parse_sequence("2,2,2"), "terms"), (complete_graph(3), "k")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            setattr(value, "extra", None)
