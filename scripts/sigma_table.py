@@ -2,12 +2,13 @@
 each graph of the eight-graph test corpus at the given lengths.
 
     PYTHONPATH=src python scripts/sigma_table.py 13 14 15 16
+    PYTHONPATH=src python scripts/sigma_table.py 18 20 22 24
 
-Each length runs the corpus in turn in this one process; the times are
-``time.process_time`` seconds. Lengths above 16 exceed the vertex cap.
-Each length ends with a sha256 digest over every graph's name, σ and
-maximizer texts, in corpus order, so that two checkouts can be compared
-by one line per length.
+Each length runs the corpus in turn in this one process, with the
+oracle's length cap raised to that length; the times are
+``time.process_time`` seconds. Each length ends with a sha256 digest
+over every graph's name, σ and maximizer texts, in corpus order, so that
+two checkouts can be compared by one line per length.
 """
 
 import hashlib

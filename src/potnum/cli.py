@@ -71,7 +71,7 @@ class UsageError(ValueError):
     pass
 
 
-def _load_graph(source: str, cap: int) -> SmallGraph:
+def _load_graph(source: str) -> SmallGraph:
     if os.path.exists(source):
         try:
             with open(source, "r", encoding="utf-8") as fh:
@@ -79,7 +79,7 @@ def _load_graph(source: str, cap: int) -> SmallGraph:
         except OSError as exc:
             raise ValueError(f"cannot read graph file {source!r}: {exc.strerror or exc}") from None
         return parse_graph_file(text)
-    return graph_from_text(source, cap=cap)
+    return graph_from_text(source)
 
 
 def _emit(payload, as_json: bool, human_lines: list[str]) -> None:
@@ -97,7 +97,7 @@ def _target_pattern(h: SmallGraph, i: int) -> str:
 
 
 def cmd_analyze(args) -> int:
-    h = _load_graph(args.graph, args.cap_n)
+    h = _load_graph(args.graph)
     prof = profile(h)
     sigma_verdict = classify_sigma(h)
     weak_verdict = classify_weak(h)
@@ -149,7 +149,7 @@ def _fraction(text: str) -> Fraction:
 
 
 def cmd_build(args) -> int:
-    h = _load_graph(args.graph, args.cap_n)
+    h = _load_graph(args.graph)
     kind = args.kind
     params = _int_params(args.params)
     if kind == "pi_tilde":
@@ -178,7 +178,7 @@ def cmd_build(args) -> int:
 
 def cmd_check(args) -> int:
     seq = parse_sequence(args.sequence)
-    h = _load_graph(args.graph, args.cap_n)
+    h = _load_graph(args.graph)
     cert = potentially(seq, h, cap_n=args.cap_n)
     human = [f"potentially: {'true' if cert.answer else 'false'}"]
     if cert.answer and cert.embedding is not None:
@@ -195,7 +195,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_sigma(args) -> int:
-    h = _load_graph(args.graph, args.cap_n)
+    h = _load_graph(args.graph)
     result = sigma_exact(h, args.n, cap_n=args.cap_n)
     human = [str(result.value)]
     human += [f"maximizer: {s.to_text()}" for s in result.extremal_sequences]
@@ -205,7 +205,7 @@ def cmd_sigma(args) -> int:
 
 def cmd_probe(args) -> int:
     seq = parse_sequence(args.sequence)
-    h = _load_graph(args.graph, args.cap_n)
+    h = _load_graph(args.graph)
     cfg = ProbeConfig(
         epsilon=_fraction(args.epsilon) if args.epsilon else Fraction(1, 4),
         delta=_fraction(args.delta) if args.delta else None,
@@ -248,18 +248,18 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--cap-n", type=int, default=DEFAULT_CAP_N, help="oracle length and expression order cap")
+        p.add_argument("--cap-n", type=int, default=DEFAULT_CAP_N, help="longest sequence decided or realized")
 
     p = sub.add_parser("analyze", help="profile a graph and classify its stability")
     p.add_argument("graph")
-    common(p)
+    p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("build", help="emit extremal sequences for a graph")
     p.add_argument("graph")
     p.add_argument("kind", choices=["pi_tilde", "rho", "family"])
     p.add_argument("params", nargs="*")
-    common(p)
+    p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("check", help="decide potentially-H-graphic exactly")

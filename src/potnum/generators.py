@@ -175,15 +175,15 @@ def expr_order(expr: GraphExpr) -> int:
     return sum(expr_order(op) for op in expr.operands)
 
 
-def build(expr: GraphExpr, cap: int = graphs.MAX_VERTICES) -> SmallGraph:
+def build(expr: GraphExpr) -> SmallGraph:
     """Evaluate the AST to a concrete graph with canonical vertex numbering.
 
     Joins and unions number the left operand's vertices first. Raises
-    CapExceededError when the total order exceeds ``cap``.
+    CapExceededError when the total order exceeds ``graphs.MAX_ORDER``.
     """
     order = expr_order(expr)
-    if order > cap:
-        raise CapExceededError(f"expression order {order} exceeds cap {cap}")
+    if order > graphs.MAX_ORDER:
+        raise CapExceededError(f"expression order {order} exceeds cap {graphs.MAX_ORDER}")
     return _build(expr)
 
 
@@ -193,6 +193,6 @@ def _build(expr: GraphExpr) -> SmallGraph:
     return _entry(expr)[1](*map(_build, expr.operands))
 
 
-def graph_from_text(text: str, cap: int = graphs.MAX_VERTICES) -> SmallGraph:
+def graph_from_text(text: str) -> SmallGraph:
     """Build a graph from a generator expression string."""
-    return build(parse_graph_expr(text), cap=cap)
+    return build(parse_graph_expr(text))

@@ -1,8 +1,8 @@
-"""Small labeled simple graphs on up to 16 vertices, bitset adjacency.
+"""Small labeled simple graphs, bitset adjacency in Python ints of any width.
 
-Every induced-subgraph loop is a word-level mask operation, which keeps
-exhaustive searches (independence number, minimum induced maximum degree,
-subgraph embedding) trivial at this scale.
+Every induced-subgraph loop is a mask operation, which keeps exhaustive
+searches (independence number, minimum induced maximum degree, subgraph
+embedding) trivial at this scale.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .sequences import DegreeSequence, _check_digits
 
-MAX_VERTICES = 16
+MAX_ORDER = 16  # of a graph file or expression: `analyze` is exponential in the order
 
 
 class CapExceededError(ValueError):
@@ -28,8 +28,6 @@ class SmallGraph:
     def __init__(self, k: int, edges: Iterable[tuple[int, int]] = ()):
         if k < 0:
             raise ValueError("vertex count must be nonnegative")
-        if k > MAX_VERTICES:
-            raise CapExceededError(f"vertex count {k} exceeds cap {MAX_VERTICES}")
         adj = [0] * k
         for u, v in edges:
             if u == v:
@@ -100,8 +98,7 @@ class SmallGraph:
 
 def _from_masks(k: int, adj: list[int]) -> SmallGraph:
     """A graph from adjacency masks its caller has built symmetric, loop
-    free and in range, on at most ``MAX_VERTICES`` vertices: no per-edge
-    check."""
+    free and in range: no per-edge check."""
     graph = object.__new__(SmallGraph)
     object.__setattr__(graph, "k", k)
     object.__setattr__(graph, "adj", tuple(adj))
@@ -375,6 +372,8 @@ def parse_graph_file(text: str) -> SmallGraph:
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'n <k>'")
             k = int(_check_digits(parts[1]))
+            if k > MAX_ORDER:
+                raise CapExceededError(f"line {lineno}: vertex count {k} exceeds cap {MAX_ORDER}")
         elif parts[0] == "e":
             if k is None:
                 raise ValueError(f"line {lineno}: edge before vertex count")

@@ -64,7 +64,6 @@ from functools import lru_cache
 from itertools import groupby, islice, permutations
 
 from .graphs import (
-    MAX_VERTICES,
     CapExceededError,
     SmallGraph,
     _from_masks,
@@ -150,8 +149,6 @@ def canonical_realization(seq: DegreeSequence) -> Realization:
     if not is_graphic(seq):
         raise ValueError(f"sequence {seq.to_text()} is not graphic")
     n = seq.n
-    if n > MAX_VERTICES:
-        raise CapExceededError(f"realization on {n} vertices exceeds cap {MAX_VERTICES}")
     rem = list(seq.terms)
     adj = [0] * n
     for _ in range(n):  # each step zeroes the pivot's demand

@@ -8,9 +8,9 @@ at an extremal target sequence nearby, or declares the input potentially
 graphic via one of the guard bounds.
 
 The default cutoff f(k) = C(k, floor(k/2)) * 8k^2 exceeds any desk-scale
-length, so step 1 would always halt immediately; ``f_override`` exists to
-exercise the loop, and every trace records which cutoff was used. All
-rational arithmetic is exact (fractions).
+length n, so n - f < 0: step 1 halts only at the iteration limit or on an
+empty sequence. ``f_override`` lowers it, and every trace records which
+cutoff was used. All rational arithmetic is exact (fractions).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 
 from .graphs import (
     CapExceededError,
@@ -72,7 +73,7 @@ class ProbeConfig(
     """``epsilon`` (a Fraction); ``delta`` (a Fraction, or None for half
     the bound for (epsilon, k)); ``f_override`` (an int step-1 cutoff, or
     None for ``default_f``); ``oracle_fallback`` (bool: verify claims with
-    the oracle); ``cap_n`` (the oracle's length cap)."""
+    the oracle); ``cap_n`` (the length cap of the oracle and of step 2)."""
 
     __slots__ = ()
 
@@ -178,13 +179,13 @@ class ProbeTrace(
     """The audit trace of one run, built once its verdict is known: the
     length ``n`` and sum ``sigma`` of the input, the Fractions ``epsilon``
     and ``delta`` and the cutoff ``f`` it ran with, its ``warnings`` (a
-    list of str) and whether the sum met the precondition
+    tuple of str) and whether the sum met the precondition
     (``precondition_ok``). Then what the iteration reached, None where it
     stopped before: the initial lay-off's ``init_threshold``,
     ``init_laid_off`` and ``init_laid_off_sum`` (ints); ``early_exit``, true
     when the Yin–Li test fired on the input; ``iterations``, a tuple of
     ``IterationRecord``s, one per pass; and, on a run that leaves the loop,
-    its pass count ``ell`` and the halt analysis's ``final`` dict. Last, the
+    its pass count ``ell`` and the halt analysis's ``final`` mapping. Last, the
     ``verdict`` (a ``ProbeVerdict``)."""
 
     __slots__ = ()
@@ -266,10 +267,10 @@ def run_probe(
     Caller-facing guarantees: found_h, found_split, and declared_potential
     verdicts within the oracle's caps are oracle-verified unless
     ``oracle_fallback`` is off (a refuted claim degrades to inconclusive
-    with the failed guard named), a claim past any of those caps (the
-    16-vertex realization cap among them) is reported unverified, and
-    close_to_target names the member of the target family it is near (a
-    nearby target of an order outside the family is inconclusive).
+    with the failed guard named), a claim past any of those caps is
+    reported unverified, and close_to_target names the member of the
+    target family it is near (a nearby target of an order outside the
+    family is inconclusive). Step 2 raises CapExceededError past cap_n.
     """
     if not is_graphic(seq):
         raise ValueError(f"sequence {seq.to_text()} is not graphic")
@@ -281,7 +282,7 @@ def run_probe(
         warnings = warnings + [
             f"sum {sigma} below (sigma_tilde - delta) * n = {(prof.sigma_tilde - delta) * n}"
         ]
-    verdict, reached = _iterate(seq, h, prof, delta, f)
+    verdict, reached = _iterate(seq, h, prof, delta, f, cfg.cap_n)
     if not isinstance(verdict, ProbeVerdict):
         # a claim below the cap is never emitted unconfirmed: the guard and
         # halt arguments assume large lengths, so a refuted one degrades to
@@ -302,12 +303,12 @@ def run_probe(
                 kind=kind, subgraph=graph, embedding=emb, reason=reason, verified=ok
             )
     return verdict, ProbeTrace(
-        n, sigma, Fraction(cfg.epsilon), delta, f, warnings, precondition_ok, verdict=verdict, **reached
+        n, sigma, Fraction(cfg.epsilon), delta, f, tuple(warnings), precondition_ok, verdict=verdict, **reached
     )
 
 
 def _iterate(
-    seq: DegreeSequence, h: SmallGraph, prof: PotentialProfile, delta: Fraction, f: int
+    seq: DegreeSequence, h: SmallGraph, prof: PotentialProfile, delta: Fraction, f: int, cap_n: int
 ) -> tuple[ProbeVerdict | tuple[str, SmallGraph, str], dict]:
     """The iteration proper. Returns its outcome and the ``ProbeTrace``
     fields it reached, by name. The outcome is a verdict that needs no
@@ -342,6 +343,8 @@ def _iterate(
             break
         # step 2: drop the non-neighbors of the top vertex of a canonical
         # realization
+        if cur.n > cap_n:
+            raise CapExceededError(f"step 2 realization of length {cur.n} exceeds cap {cap_n}")
         real = canonical_realization(cur)
         keep = [0] + [v for v in range(cur.n) if real.graph.has_edge(0, v)]
         hat = real.graph.induced(keep).degree_sequence()
@@ -374,7 +377,8 @@ def _iterate(
         ).to_text(),
         "sEll": {"clique": max(floor_needed, 0), "independent": alpha + b_h},
     }
-    reached.update(iterations=tuple(passes), ell=ell, final=final)
+    # the trace reads ``final`` through a read-only view; the branches below add to it
+    reached.update(iterations=tuple(passes), ell=ell, final=MappingProxyType(final))
 
     if at_limit:
         if n_ell < alpha + b_h:
@@ -423,7 +427,7 @@ def _iterate(
         ), reached
     idx = k - ell - p
     f_graph, f_vertices = _pick_min_maxdeg_subgraph(h, prof, idx)
-    final["fSubgraphVertices"] = list(f_vertices)
+    final["fSubgraphVertices"] = f_vertices
     host = join(complete_graph(p), f_graph)
     if degree_sufficient(cur, host.degree_sequence()):
         final["branch"] = "clique_plus_subgraph"

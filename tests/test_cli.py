@@ -112,18 +112,17 @@ def test_probe_human_and_trace(capsys):
     assert records[-1]["record"] == "final"
 
 
-def test_probe_verdict_does_not_depend_on_a_larger_cap(capsys):
-    # at cap 20 the oracle takes the 17-term claim, and its 16-vertex
-    # realization cap leaves the claim unverified, as the length cap does
+def test_probe_claim_is_verified_within_the_cap(capsys):
+    # the early exit claims the 17-term sequence without step 2: past the
+    # default cap it stays unverified, and at cap 20 the oracle verifies it
     sequence, graph = parse_sequence("2^17"), graph_from_text("K 3")
-    verdicts = []
-    for extra in ((), ("--cap-n", "20")):
+    for extra, verified in (((), None), (("--cap-n", "20"), True)):
         cfg = ProbeConfig(cap_n=int(extra[1])) if extra else ProbeConfig()
-        verdicts.append(run_probe(sequence, graph, cfg)[0].to_json_dict())
+        want = run_probe(sequence, graph, cfg)[0].to_json_dict()
         code, out, _ = run_cli(capsys, "probe", "2^17", "K 3", "--json", *extra)
-        assert code == 0
-        verdicts.append(json.loads(out))
-    assert verdicts == [{"verdict": "declared_potential", "reason": "yin_li_early_exit"}] * 4
+        assert code == 0 and json.loads(out) == want
+        assert (want["verdict"], want["reason"], want.get("verified")) == (
+            "declared_potential", "yin_li_early_exit", verified)
 
 
 def test_graph_file_input(tmp_path, capsys):
@@ -202,14 +201,26 @@ def test_probe_without_the_oracle(capsys):
 
 
 def test_dist_takes_no_cap(capsys):
-    # dist reads no graph and calls no oracle, so there is nothing to cap
-    code, _, err = run_cli(capsys, "dist", "4,4,1^6", "7,1^7", "--cap-n", "3")
-    assert code == 1 and err.startswith("usage error:")
+    # dist, analyze and build decide and realize no sequence, so --cap-n
+    # has nothing to bound there
+    for argv in (("dist", "4,4,1^6", "7,1^7"), ("analyze", "K 3"), ("build", "K 3", "rho", "8")):
+        code, _, err = run_cli(capsys, *argv, "--cap-n", "3")
+        assert code == 1 and err.startswith("usage error:"), argv
 
 
-def test_exit_code_cap_exceeded(capsys):
-    # an oracle length above the cap, then graph orders above it
-    for argv in (("sigma", "K 3", "12"), ("analyze", "K 16"), ("check", "2,2,2", "K 12")):
+def test_exit_code_cap_exceeded(capsys, tmp_path):
+    # an oracle length above the cap, graph input above its order bound, a
+    # pattern above the oracle's order cap, and a probe whose step 2 would
+    # realize more terms than the cap
+    path = tmp_path / "k17.txt"
+    path.write_text("n 17\n")
+    for argv in (
+        ("sigma", "K 3", "12"),
+        ("analyze", "K 17"),
+        ("analyze", str(path)),
+        ("check", "2,2,2", "K 12"),
+        ("probe", "16,1^16", "K 3"),
+    ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and "cap exceeded" in err, argv
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from potnum.generators import MAX_DEPTH, ExprError, build, expr_order, graph_from_text, parse_graph_expr
 from potnum.graphs import (
+    CapExceededError,
     complement,
     complete_bipartite,
     complete_graph,
@@ -79,10 +80,10 @@ def test_parse_errors(bad):
 
 
 def test_build_cap_enforced():
-    expr = parse_graph_expr("K 12")
-    with pytest.raises(ValueError):
-        build(expr, cap=10)
-    with pytest.raises(ValueError):
+    assert build(parse_graph_expr("K 16")).k == 16
+    with pytest.raises(CapExceededError):
+        build(parse_graph_expr("K 17"))
+    with pytest.raises(CapExceededError):
         graph_from_text("join(K 10, K 10)")
 
 
@@ -92,7 +93,7 @@ def test_cycle_needs_three_vertices():
 
 
 # Each generator with its constructor and argument ranges; no generator
-# exceeds 4 vertices, so four leaves stay within the 16-vertex cap.
+# exceeds 4 vertices, so four leaves stay within the 16-vertex order bound.
 _GENERATORS = {
     "K": (complete_graph, st.integers(0, 4)),
     "Kbar": (empty_graph, st.integers(0, 4)),

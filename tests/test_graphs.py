@@ -8,6 +8,7 @@ import pytest
 
 from potnum.generators import ExprError, graph_from_text
 from potnum.graphs import (
+    CapExceededError,
     SmallGraph,
     complement,
     complete_bipartite,
@@ -43,8 +44,8 @@ def test_constructor_rejects_loops_and_bad_vertices():
         SmallGraph(3, [(0, 0)])
     with pytest.raises(ValueError):
         SmallGraph(3, [(0, 3)])
-    with pytest.raises(ValueError):
-        SmallGraph(17)
+    # the masks are Python ints, so the order has no cap
+    assert SmallGraph(40, [(0, 39)]).degrees()[39] == 1
 
 
 def test_generator_degree_profiles():
@@ -273,3 +274,7 @@ def test_graph_file_errors():
         parse_graph_file("n 2\ne 1 3\n")
     with pytest.raises(ValueError):
         parse_graph_file("n 2\nq 1 2\n")
+    # the order bound of graph input, checked before the graph is built
+    for k in ("17", "9" + "0" * 20):
+        with pytest.raises(CapExceededError):
+            parse_graph_file(f"n {k}\n")

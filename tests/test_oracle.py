@@ -577,25 +577,27 @@ def test_sigma_n13_values():
         assert (got.value, len(got.extremal_sequences)) == want[name], name
 
 
-def test_sigma_table_digests_n14_to_n16(capsys):
-    # README's digests of ``scripts/sigma_table.py 14 15 16``: one sha256
+def test_sigma_table_digests_n14_to_n16_and_n20(capsys):
+    # README's digests of ``scripts/sigma_table.py 14 15 16 20``: one sha256
     # per length over every corpus graph's name, σ and maximizer texts
     path = Path(__file__).resolve().parent.parent / "scripts" / "sigma_table.py"
     spec = importlib.util.spec_from_file_location("sigma_table", path)
     table = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(table)
-    table.main([14, 15, 16])
+    table.main([14, 15, 16, 20])
     digests = [line.split("sha256=")[1] for line in capsys.readouterr().out.splitlines() if "digest" in line]
     assert digests == [
         "e6e1700cfec83ffd59eef2c001a79fd5f6661df112c1d6acfe780b92bf8e70c5",
         "39b08ee26d3c9d16789c098de48d8f102adef10255932f127fcfccb5f13eebf0",
         "58ecb9d191f8400960e4337edf1d0394a290855dd9e0579f163e4a7aa91ed163",
+        "cf6c5c5fa72ac154faccab1c65eb67dec2a59f2db30fcdbc453837e73416b0c3",
     ]
 
 
 def test_sigma_closed_forms_from_the_literature():
     # σ against closed forms from outside this program, each from the
-    # first n at which the scan meets it, through n = 12 (10 for C7, C8)
+    # first n at which the scan meets it, through n = 12 and at n = 20
+    # (through 10 for C7, C8)
     forms = [
         # the Erdős–Jacobson–Lehel clique form, sigma(K_{r+1}, n) =
         # (r-1)(2n-r) + 2 for n large enough, proved for K3 by Gould,
@@ -621,8 +623,9 @@ def test_sigma_closed_forms_from_the_literature():
         (complete_bipartite(1, 3), lambda n: 2 * n + 2, 4, 12),
     ]
     for h, form, first, last in forms:
-        for n in range(first, last + 1):
-            assert sigma_exact(h, n, cap_n=12).value == form(n), (h.edges(), n)
+        lengths = list(range(first, last + 1)) + ([20] if last == 12 else [])
+        for n in lengths:
+            assert sigma_exact(h, n, cap_n=20).value == form(n), (h.edges(), n)
 
 
 def test_sigma_from_threads():

@@ -110,6 +110,17 @@ def test_probe_trace_is_built_whole():
     assert isinstance(trace.iterations, tuple) and len(trace.iterations) == trace.ell + 1
 
 
+def test_probe_trace_fields_refuse_writes():
+    # the trace's warnings and halt analysis are read-only too, so nothing
+    # can change what to_json_lines prints after the run
+    _, trace = run_probe(parse_sequence("7,1^7"), complete_graph(3), ProbeConfig(f_override=4))
+    assert trace.warnings and trace.final
+    with pytest.raises(AttributeError):
+        trace.warnings.append("x")
+    with pytest.raises(TypeError):
+        trace.final["branch"] = "x"
+
+
 # Classes that are neither records nor exceptions, each immutable or private
 # on purpose; a new one is added here with its reason
 AUDITED_CLASSES = {
