@@ -134,8 +134,13 @@ def complete_bipartite(r: int, s: int) -> SmallGraph:
 
 
 def complete_split(r: int, t: int) -> SmallGraph:
-    """Clique of order r fully joined to an independent set of order t."""
-    return join(complete_graph(r), empty_graph(t))
+    """Clique of order r fully joined to an independent set of order t:
+    the clique is vertices 0..r-1."""
+    if r < 0 or t < 0:
+        raise ValueError("vertex count must be nonnegative")
+    full = (1 << (r + t)) - 1
+    clique = (1 << r) - 1
+    return _from_masks(r + t, [full ^ (1 << u) for u in range(r)] + [clique] * t)
 
 
 def double_star(b1: int, b2: int) -> SmallGraph:

@@ -10,7 +10,9 @@ graphic via one of the guard bounds.
 The default cutoff f(k) = C(k, floor(k/2)) * 8k^2 exceeds any desk-scale
 length n, so n - f < 0: step 1 halts only at the iteration limit or on an
 empty sequence. ``f_override`` lowers it, and every trace records which
-cutoff was used. All rational arithmetic is exact (fractions).
+cutoff was used. Every comparison is exact: with delta = dp/dq, each
+bound is multiplied through by dq and compared in integers. The trace
+still records delta, epsilon and each pass's sum floor as Fractions.
 """
 
 from __future__ import annotations
@@ -23,14 +25,7 @@ from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
 
-from .graphs import (
-    CapExceededError,
-    SmallGraph,
-    complete_graph,
-    complete_split,
-    independence_number,
-    join,
-)
+from .graphs import CapExceededError, SmallGraph, complete_split, independence_number
 from .oracle import (
     DEFAULT_CAP_N,
     canonical_realization,
@@ -78,9 +73,10 @@ class ProbeConfig(
     __slots__ = ()
 
     def resolve(self, k: int) -> tuple[Fraction, int, list[str]]:
-        """Concrete (delta, f) for a graph of order k, plus warnings."""
+        """Concrete (delta, f) for a graph of order k, plus warnings.
+        Each comparison is cross-multiplied: denominators are positive."""
         eps = Fraction(self.epsilon)
-        if not 0 < eps < Fraction(1, 2):
+        if not 0 < 2 * eps.numerator < eps.denominator:
             raise ValueError(f"epsilon must lie in (0, 1/2), got {eps}")
         warnings: list[str] = []
         bound = delta_bound(eps, k)
@@ -88,13 +84,14 @@ class ProbeConfig(
             delta = bound / 2
         else:
             delta = Fraction(self.delta)
-            if delta <= 0:
+            dp, dq = delta.numerator, delta.denominator
+            if dp <= 0:
                 raise ValueError(f"delta must be positive, got {delta}")
-            if delta >= bound:
+            if dp * bound.denominator >= bound.numerator * dq:
                 warnings.append(
                     f"delta {delta} is not below the convergence bound {bound}"
                 )
-            if delta >= Fraction(1, k):
+            if k * dp >= dq:
                 warnings.append(
                     f"delta {delta} >= 1/k makes the step-4 guard bound degenerate"
                 )
@@ -185,8 +182,8 @@ class ProbeTrace(
     ``init_laid_off`` and ``init_laid_off_sum`` (ints); ``early_exit``, true
     when the Yin–Li test fired on the input; ``iterations``, a tuple of
     ``IterationRecord``s, one per pass; and, on a run that leaves the loop,
-    its pass count ``ell`` and the halt analysis's ``final`` mapping. Last, the
-    ``verdict`` (a ``ProbeVerdict``)."""
+    its pass count ``ell`` and the halt analysis's ``final`` mapping, read-only
+    at every level. Last, the ``verdict`` (a ``ProbeVerdict``)."""
 
     __slots__ = ()
 
@@ -236,7 +233,10 @@ class ProbeTrace(
             lines.append(json.dumps({"record": "iteration", **rec.to_json_dict()}))
         tail: dict = {"record": "final", "ell": self.ell}
         if self.final is not None:
-            tail.update(self.final)
+            tail.update(
+                (key, dict(value) if isinstance(value, MappingProxyType) else value)
+                for key, value in self.final.items()
+            )
         if self.verdict is not None:
             tail["verdict"] = self.verdict.to_json_dict()
         lines.append(json.dumps(tail))
@@ -277,11 +277,12 @@ def run_probe(
     prof = profile(h)
     delta, f, warnings = cfg.resolve(prof.k)
     n, sigma = seq.n, seq.sum()
-    precondition_ok = sigma >= (prof.sigma_tilde - delta) * n
+    # sigma >= (sigma_tilde - delta) n, times the denominator of delta
+    dp, dq = delta.numerator, delta.denominator
+    floor = (prof.sigma_tilde * dq - dp) * n
+    precondition_ok = sigma * dq >= floor
     if not precondition_ok:
-        warnings = warnings + [
-            f"sum {sigma} below (sigma_tilde - delta) * n = {(prof.sigma_tilde - delta) * n}"
-        ]
+        warnings = warnings + [f"sum {sigma} below (sigma_tilde - delta) * n = {Fraction(floor, dq)}"]
     verdict, reached = _iterate(seq, h, prof, delta, f, cfg.cap_n)
     if not isinstance(verdict, ProbeVerdict):
         # a claim below the cap is never emitted unconfirmed: the guard and
@@ -318,6 +319,7 @@ def _iterate(
     k, alpha, b_h = prof.k, prof.alpha, prof.b_h
     i_star, nab = prof.i_star, prof.nabla_table[prof.i_star]
     n = seq.n
+    dp, dq = delta.numerator, delta.denominator  # delta = dp/dq, dq > 0
 
     # early exit on the input sequence, before any terms are laid off
     if n >= 2 * k and seq.term(2 * k) >= k - 1:
@@ -327,14 +329,16 @@ def _iterate(
     init_threshold = -(-seq.sum() // (2 * n)) if n else 0
     cur, init_laid_off, init_laid_off_sum = layoff_batch_below(seq, init_threshold)
     reached = dict(init_threshold=init_threshold, init_laid_off=init_laid_off, init_laid_off_sum=init_laid_off_sum)
-    if init_laid_off > 2 * delta * n / (1 + delta):
+    # init_laid_off > 2 delta n / (1 + delta), times dq (1 + delta)
+    if init_laid_off * (dq + dp) > 2 * dp * n:
         return (DECLARED_POTENTIAL, h, REASON_INIT_GUARD), reached
 
     passes = []
     t = 0
     while True:
-        bound = (2 * (k - i_star) + nab - 1 - (t + 1) * delta - 2 * t) * cur.n
-        head = (t, cur.n, cur, bound, cur.sum() >= bound)
+        # the sum floor (2(k - i*) + nabla - 1 - (t + 1) delta - 2t) n_t, times dq
+        num = ((2 * (k - i_star) + nab - 1 - 2 * t) * dq - (t + 1) * dp) * cur.n
+        head = (t, cur.n, cur, Fraction(num, dq), cur.sum() * dq >= num)
         # step 1: halt on small maximum degree or iteration limit
         at_limit = t == k - alpha - b_h
         if at_limit or cur.n == 0 or cur.terms[0] < cur.n - f:
@@ -345,20 +349,23 @@ def _iterate(
         # realization
         if cur.n > cap_n:
             raise CapExceededError(f"step 2 realization of length {cur.n} exceeds cap {cap_n}")
-        real = canonical_realization(cur)
-        keep = [0] + [v for v in range(cur.n) if real.graph.has_edge(0, v)]
-        hat = real.graph.induced(keep).degree_sequence()
+        adj = canonical_realization(cur).graph.adj
+        keep = adj[0] | 1
+        # the degrees of the graph induced on the kept vertices
+        hat = DegreeSequence([(adj[v] & keep).bit_count() for v in range(cur.n) if keep >> v & 1])
         # step 3: lay off the dominating vertex (the maximum term)
         check = layoff(hat, 1)
-        # step 4: lay off minima until the floor holds
-        threshold = k - i_star + math.ceil((nab - 1 - (t + 1) * delta) / 2) - (t + 1)
+        # step 4: lay off minima until the floor holds; the threshold's
+        # ceil((nabla - 1 - (t + 1) delta) / 2) is a floor division by 2 dq
+        threshold = k - i_star - (((t + 1) * dp - (nab - 1) * dq) // (2 * dq)) - (t + 1)
         nxt, j4, _ = layoff_batch_below(check, max(threshold, 0))
-        # the guard bound is meaningful only while 1 - k*delta stays positive;
+        # j4 >= (t + 3) delta n_t / (1 - k delta), times dq (1 - k delta). The
+        # guard bound is meaningful only while 1 - k*delta stays positive;
         # a degenerate delta (warned about in resolve) falls through instead
         # of declaring unsoundly
-        guard = 1 - k * delta > 0 and j4 >= Fraction(t + 3) * delta * cur.n / (1 - k * delta)
+        guard = dq > k * dp and j4 * (dq - k * dp) >= (t + 3) * dp * cur.n
         passes.append(IterationRecord(
-            *head, removed_nonneighbors=cur.n - len(keep), step3_laid_off=1,
+            *head, removed_nonneighbors=cur.n - hat.n, step3_laid_off=1,
             step4_laid_off=j4, step4_threshold=threshold,
             halting_reason=REASON_STEP4_GUARD if guard else None,
         ))
@@ -375,7 +382,7 @@ def _iterate(
         "eta": DegreeSequence(
             [n_ell + ell - 1] * ell + [d + ell for d in cur.terms]
         ).to_text(),
-        "sEll": {"clique": max(floor_needed, 0), "independent": alpha + b_h},
+        "sEll": MappingProxyType({"clique": max(floor_needed, 0), "independent": alpha + b_h}),
     }
     # the trace reads ``final`` through a read-only view; the branches below add to it
     reached.update(iterations=tuple(passes), ell=ell, final=MappingProxyType(final))
@@ -404,8 +411,9 @@ def _iterate(
             ),
         ), reached
 
-    s_ell = complete_split(floor_needed, alpha + b_h)
-    if degree_sufficient(cur, s_ell.degree_sequence()):
+    # the degrees of the split graph K_r v Kbar_s, r = floor_needed >= 1 here
+    r, s = floor_needed, alpha + b_h
+    if degree_sufficient(cur, DegreeSequence([r + s - 1] * r + [r] * s)):
         # bounded-max-degree hypotheses hold: d1 < n_ell - f by the halt,
         # minimum term at least the split's minimum degree checked above
         final["branch"] = "bounded_max_degree"
@@ -428,8 +436,9 @@ def _iterate(
     idx = k - ell - p
     f_graph, f_vertices = _pick_min_maxdeg_subgraph(h, prof, idx)
     final["fSubgraphVertices"] = f_vertices
-    host = join(complete_graph(p), f_graph)
-    if degree_sufficient(cur, host.degree_sequence()):
+    # the degrees of K_p v F
+    host = [p + idx - 1] * p + [d + p for d in f_graph.degrees()]
+    if degree_sufficient(cur, DegreeSequence(host)):
         final["branch"] = "clique_plus_subgraph"
         return (FOUND_H, h, "degree-sufficient for a clique joined onto an induced subgraph"), reached
     final["branch"] = "near_target"

@@ -199,14 +199,21 @@ def layoff_batch_below(seq: DegreeSequence, threshold: int) -> tuple[DegreeSeque
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    cur = seq
+    d = list(seq.terms)
     count = 0
     laid_off_sum = 0
-    while cur.n and cur.terms[-1] < threshold:
-        laid_off_sum += cur.terms[-1]
-        cur = layoff(cur, cur.n)
+    # each pass is ``layoff(cur, cur.n)`` on the one list: the last term is
+    # a minimum, so it falls in the case d_n < n, or in the raise
+    while d and d[-1] < threshold:
+        low = d.pop()
+        if low > len(d):
+            raise ValueError(f"term {low} too large to lay off from length {len(d) + 1}")
+        for j in range(low):
+            d[j] -= 1
+        d.sort(reverse=True)
+        laid_off_sum += low
         count += 1
-    return cur, count, laid_off_sum
+    return (DegreeSequence(d) if count else seq), count, laid_off_sum
 
 
 def l1_distance(a: DegreeSequence, b: DegreeSequence) -> int:

@@ -345,6 +345,8 @@ _COMMON = st.lists(
     st.one_of(st.just(["--json"]), _or(st.integers(0, 10).map(str), _HUGE).map(lambda c: ["--cap-n", c])),
     max_size=2,
 )
+# analyze, build and dist take no --cap-n
+_JSON = st.lists(st.just("--json"), max_size=1)
 _OPTIONS = st.lists(st.one_of(
     st.just(["--trace"]), st.just(["--no-oracle"]),
     _or(st.integers(-1, 6).map(str), _HUGE).map(lambda f: ["--f-override", f]),
@@ -352,15 +354,15 @@ _OPTIONS = st.lists(st.one_of(
     _FRACTION.map(lambda e: ["--delta", e]),
 ), max_size=3)
 _COMMANDS = st.one_of(
-    st.tuples(st.just("analyze"), _GRAPH, _COMMON),
+    st.tuples(st.just("analyze"), _GRAPH, _JSON),
     st.tuples(st.just("build"), _GRAPH, st.one_of(
         st.tuples(st.just("pi_tilde"), st.integers(0, 7).map(str), _or(_LENGTH, _HUGE)),
         st.tuples(st.sampled_from(["rho", "family"]), _or(_LENGTH, _HUGE)),
-    ), _COMMON),
+    ), _JSON),
     st.tuples(st.just("check"), _SEQ, _GRAPH, _COMMON),
     st.tuples(st.just("sigma"), _GRAPH, _or(_LENGTH, _HUGE), _COMMON),
     st.tuples(st.just("probe"), _SEQ, _GRAPH, _OPTIONS, _COMMON),
-    st.tuples(st.just("dist"), _SEQ, _SEQ, st.lists(st.just("--json"), max_size=1)),
+    st.tuples(st.just("dist"), _SEQ, _SEQ, _JSON),
 )
 
 

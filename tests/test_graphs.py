@@ -16,6 +16,7 @@ from potnum.graphs import (
     complete_split,
     cycle_graph,
     deleted_family,
+    empty_graph,
     double_star,
     find_embedding,
     format_graph_file,
@@ -54,6 +55,15 @@ def test_generator_degree_profiles():
     assert sorted(double_star(1, 1).degrees(), reverse=True) == [2, 2, 1, 1]
     assert is_isomorphic(double_star(1, 1), path_graph(4))
     assert double_star(2, 1).degrees()[0] == 3 and double_star(2, 1).degrees()[1] == 2
+
+
+def test_complete_split_is_the_join_of_a_clique_and_an_independent_set():
+    for r in range(7):
+        for t in range(7):
+            assert complete_split(r, t) == join(complete_graph(r), empty_graph(t)), (r, t)
+    for r, t in ((-1, 0), (0, -1), (-2, 3), (3, -2)):
+        with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+            complete_split(r, t)
 
 
 def test_induced_subgraph_relabels():

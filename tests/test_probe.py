@@ -1,21 +1,27 @@
 """Iteration algorithm: worked traces and guard exits."""
 
+import hashlib
 import json
+import math
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import corpus
 from potnum.generators import graph_from_text
-from potnum.graphs import complete_graph, complete_split, cycle_graph, friendship_graph
-from potnum.potential import target_family
+from potnum.graphs import SmallGraph, complete_graph, complete_split, cycle_graph, friendship_graph
+from potnum.oracle import enumerate_graphic_sequences, sigma_exact
+from potnum.potential import profile, target_family
 from potnum.probe import (
     ProbeConfig,
     default_f,
     delta_bound,
     run_probe,
 )
-from potnum.sequences import parse_sequence
+from potnum.sequences import DegreeSequence, parse_sequence
 
 
 def seq(text):
@@ -192,6 +198,91 @@ def test_shrinkage_bound_gate():
         assert s.n - final_n < trace.epsilon / (8 * p.k) * s.n
 
 
+# --- the integer comparisons, against the Fraction expressions --------------
+
+_EPSILONS = st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(1, 10), Fraction(49, 100)])
+
+
+def _edges(draw, n):
+    """A drawn edge set on n vertices, each pair kept with a fair coin."""
+    pairs = list(combinations(range(n), 2))
+    coins = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return [pair for pair, coin in zip(pairs, coins) if coin]
+
+
+@st.composite
+def _graphs(draw):
+    k = draw(st.integers(2, 8))
+    return SmallGraph(k, _edges(draw, k) or [(0, 1)])
+
+
+@st.composite
+def _graphic(draw):
+    n = draw(st.integers(0, 10))
+    degrees = [0] * n
+    for u, v in _edges(draw, n):
+        degrees[u] += 1
+        degrees[v] += 1
+    return DegreeSequence(degrees)
+
+
+@st.composite
+def _configs(draw, k):
+    f = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["default", "user", "degenerate"]))
+    if kind == "default":
+        return ProbeConfig(epsilon=draw(_EPSILONS), f_override=f, oracle_fallback=False)
+    if kind == "user":
+        # k delta < 1; small terms make the step-4 guard's bound an integer often
+        p = draw(st.integers(1, 4))
+        q = k * p + draw(st.integers(1, 100))
+    else:
+        # a degenerate delta has k delta >= 1, where the step-4 guard stays off
+        q = draw(st.integers(1, 500))
+        p = draw(st.integers(-(-q // k), -(-q // k) + 3 * q))
+    return ProbeConfig(delta=Fraction(p, q), f_override=f, oracle_fallback=False)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(h=_graphs(), s=_graphic(), data=st.data())
+def test_integer_comparisons_match_the_fraction_expressions(h, s, data):
+    prof = profile(h)
+    k, i_star = prof.k, prof.i_star
+    nab = prof.nabla_table[i_star]
+    cfg = data.draw(_configs(k))
+    try:
+        verdict, trace = run_probe(s, h, cfg)
+    except ValueError as exc:
+        # a remainder shorter than the graph the halt analysis compares it
+        # with is a known fault, outside these comparisons: no trace is left
+        assert str(exc).startswith("comparison sequence longer"), exc
+        return
+    delta, n = trace.delta, s.n
+    # the precondition, and the floor its warning prints
+    floor = (prof.sigma_tilde - delta) * n
+    assert trace.precondition_ok == (s.sum() >= floor)
+    assert (f"sum {s.sum()} below (sigma_tilde - delta) * n = {floor}" in trace.warnings) == (not trace.precondition_ok)
+    # the init guard
+    if trace.init_laid_off is not None:
+        fired = trace.init_laid_off > 2 * delta * n / (1 + delta)
+        assert fired == (verdict.reason == "init_guard" and not trace.iterations)
+    for rec in trace.iterations:
+        t = rec.t
+        # the pass floor and its flag
+        bound = (2 * (k - i_star) + nab - 1 - (t + 1) * delta - 2 * t) * rec.n_t
+        assert isinstance(rec.sum_bound, Fraction) and rec.sum_bound == bound
+        assert str(rec.sum_bound) == str(bound)
+        assert rec.sum_bound_ok == (rec.sequence.sum() >= bound)
+        if rec.step4_threshold is None:
+            continue
+        # the step-4 threshold and guard
+        assert rec.step4_threshold == k - i_star + math.ceil((nab - 1 - (t + 1) * delta) / 2) - (t + 1)
+        guard = 1 - k * delta > 0 and rec.step4_laid_off >= Fraction(t + 3) * delta * rec.n_t / (1 - k * delta)
+        assert guard == (rec.halting_reason == "step4_guard")
+        if k * delta >= 1:
+            assert rec.halting_reason is None
+
+
 # --- every verdict path, pinned ----------------------------------------------------
 
 # One run per path of run_probe that the benchmark's probe pool reaches,
@@ -209,3 +300,26 @@ def test_verdict_paths_are_pinned(case, oracle):
     expected = case["oracle" if oracle else "noOracle"]
     assert verdict.to_json_dict() == expected["verdict"]
     assert trace.to_json_lines() == [json.dumps(record) for record in expected["trace"]]
+
+
+# Every graphic sequence of length 8 at the sums sigma(H, 8) - 4, - 2 and
+# sigma(H, 8), for each corpus graph, with f = 3 and 5 and the oracle on and
+# off: 8,188 runs. The digest was written by the code before the probe's
+# comparisons became integer cross-multiplications, so it pins every
+# verdict and trace line they print.
+def test_probe_outputs_near_sigma_at_n8_are_pinned():
+    digest = hashlib.sha256()
+    runs = 0
+    for h in corpus().values():
+        sigma = sigma_exact(h, 8).value
+        for total in (sigma - 4, sigma - 2, sigma):
+            for s in enumerate_graphic_sequences(8, total):
+                for f in (3, 5):
+                    for oracle in (True, False):
+                        verdict, trace = run_probe(s, h, ProbeConfig(f_override=f, oracle_fallback=oracle))
+                        digest.update(json.dumps(verdict.to_json_dict()).encode() + b"\n")
+                        for line in trace.to_json_lines():
+                            digest.update(line.encode() + b"\n")
+                        runs += 1
+    assert runs == 8188
+    assert digest.hexdigest() == "b7b73e77aee32e33bd8e343df9b1c7ea142d8be5a750e802653b10ef934fa5c2"

@@ -119,6 +119,11 @@ def test_probe_trace_fields_refuse_writes():
         trace.warnings.append("x")
     with pytest.raises(TypeError):
         trace.final["branch"] = "x"
+    # at every level: the split graph's orders are read-only as well
+    line = trace.to_json_lines()[-1]
+    with pytest.raises(TypeError):
+        trace.final["sEll"]["clique"] = 9
+    assert trace.to_json_lines()[-1] == line
 
 
 # Classes that are neither records nor exceptions, each immutable or private

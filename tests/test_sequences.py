@@ -2,7 +2,7 @@
 
 import random
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,6 +217,44 @@ def test_layoff_batch_bookkeeping_random():
 def test_layoff_batch_negative_threshold_rejected():
     with pytest.raises(ValueError):
         layoff_batch_below(seq("1,1"), -1)
+
+
+def _layoff_batch_by_layoff(s, threshold):
+    """The lay-off batch as repeated ``layoff`` of the last term."""
+    if threshold < 0:
+        raise ValueError("threshold must be nonnegative")
+    count = total = 0
+    while s.n and s.terms[-1] < threshold:
+        total += s.terms[-1]
+        s = layoff(s, s.n)
+        count += 1
+    return s, count, total
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_layoff_batch_below_matches_repeated_layoff():
+    from potnum.oracle import enumerate_graphic_sequences
+
+    graphic = [s for n in range(9) for s in enumerate_graphic_sequences(n)]
+    for s in graphic:
+        for threshold in range(s.n + 1):
+            assert layoff_batch_below(s, threshold) == _layoff_batch_by_layoff(s, threshold), (s, threshold)
+    # the errors, on sequences graphic or not: a negative threshold, and a
+    # minimum term too large to lay off from the length it has left
+    for n in range(6):
+        for terms in combinations_with_replacement(range(n + 2), n):
+            s = DegreeSequence(terms)
+            for threshold in range(-1, n + 3):
+                assert _outcome(layoff_batch_below, s, threshold) == _outcome(
+                    _layoff_batch_by_layoff, s, threshold
+                ), (s, threshold)
+    assert _outcome(layoff_batch_below, seq("3,3,3"), 4) == "term 3 too large to lay off from length 3"
 
 
 # --- distances -------------------------------------------------------------------
