@@ -279,22 +279,58 @@ def one_edge_set_exists(h: SmallGraph, size: int) -> bool:
 
 
 @lru_cache(maxsize=256)
-def _embedding_plan(pattern: SmallGraph) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+def _embedding_plan(pattern: SmallGraph) -> tuple[tuple[int, int, tuple[int, ...], int], ...]:
     """Placement order for ``find_embedding``: (vertex, degree, neighbours
-    placed before it) per step. Repeatedly takes the unplaced vertex with
-    most placed neighbours, breaking ties toward high degree, then lower
-    index."""
+    placed before it, bound) per step. Repeatedly takes the unplaced vertex
+    with most placed neighbours, breaking ties toward high degree, then
+    lower index.
+
+    The bound breaks the pattern's symmetry by its stabilizer chain
+    (Grochow and Kellis, RECOMB 2007). Step j's bound is the vertex v of
+    the latest earlier step i such that some automorphism of the pattern
+    fixes the vertices of steps 0..i-1 and takes v to step j's vertex w,
+    or k when there is none; w must land above v's image. The bounds keep
+    the embedding the search finds. Unbounded, it finds the embedding phi
+    whose images in plan order are lexicographically least. phi composed
+    with such an automorphism is an embedding that agrees with phi on
+    steps 0..i-1 and puts phi(w) at step i, so phi(v) < phi(w): phi meets
+    every bound, and the bounded search still finds it first. One bound a
+    step suffices: if w lies in the orbits of v1 at step i1 and of v2 at a
+    later step i2, then v2 lies in v1's orbit under the stabilizer of
+    steps 0..i1-1, so v1 bounds v2 in turn, and by induction the latest
+    bound implies every earlier one. Whether an automorphism exists is one
+    search of the pattern into itself, run only for a pair of equal degree
+    with the same neighbours among the fixed vertices.
+    """
+    k = pattern.k
+    adj = pattern.adj
     pdeg = pattern.degrees()
     plan = []
     placed_mask = 0
-    for _ in range(pattern.k):
+    for _ in range(k):
         u = max(
-            (v for v in range(pattern.k) if not (placed_mask >> v) & 1),
-            key=lambda v: ((pattern.adj[v] & placed_mask).bit_count(), pdeg[v]),
+            (v for v in range(k) if not (placed_mask >> v) & 1),
+            key=lambda v: ((adj[v] & placed_mask).bit_count(), pdeg[v]),
         )
-        plan.append((u, pdeg[u], tuple(_bits(pattern.adj[u] & placed_mask))))
+        plan.append((u, pdeg[u], tuple(_bits(adj[u] & placed_mask)), k))
         placed_mask |= 1 << u
-    return tuple(plan)
+    # With every bound still k, the plan searches the pattern into itself:
+    # a bijection carrying every edge to an edge is an automorphism. The
+    # steps run from the last down, so a step's first bound is its latest.
+    image = [*range(k), -1]
+    bounds = [k] * k
+    fixed = placed_mask
+    for i in reversed(range(k)):
+        v = plan[i][0]
+        fixed ^= 1 << v
+        for j in range(i + 1, k):
+            w = plan[j][0]
+            if bounds[j] == k and pdeg[w] == pdeg[v] and adj[v] & fixed == adj[w] & fixed:
+                image[v] = w
+                if _place(plan, i + 1, placed_mask ^ fixed ^ (1 << w), adj, image):
+                    bounds[j] = v
+        image[v] = v
+    return tuple((u, du, nbs, b) for (u, du, nbs, _), b in zip(plan, bounds))
 
 
 def find_embedding(pattern: SmallGraph, host: SmallGraph) -> dict[int, int] | None:
@@ -302,41 +338,44 @@ def find_embedding(pattern: SmallGraph, host: SmallGraph) -> dict[int, int] | No
 
     Backtracking over a cached per-pattern plan that places the most
     constrained vertices first. Each step's candidates are one mask, the
-    unused host vertices adjacent to the images of the placed neighbours,
-    taken lowest index first and skipped when their degree is below the
-    pattern vertex's. Returns None when no embedding exists; otherwise the
-    map, keys in placement order.
+    unused host vertices adjacent to the images of the placed neighbours
+    and above the image of the step's bound, taken lowest index first and
+    skipped when their degree is below the pattern vertex's. The bounds
+    skip the copies of each dead end that an automorphism of the pattern
+    repeats, and keep the result: the embedding whose images in plan
+    order are lexicographically least. Returns None when no embedding
+    exists; otherwise the map, keys in placement order.
     """
     if pattern.k > host.k:
         return None
     plan = _embedding_plan(pattern)
-    hadj = host.adj
-    image = [0] * pattern.k
-    if not _place(plan, 0, (1 << host.k) - 1, hadj, [m.bit_count() for m in hadj], image):
+    # image[k] = -1 is the image of the bound k that no step has
+    image = [0] * pattern.k + [-1]
+    if not _place(plan, 0, (1 << host.k) - 1, host.adj, image):
         return None
-    return {u: image[u] for u, _, _ in plan}
+    return {u: image[u] for u, _, _, _ in plan}
 
 
 def _place(
-    plan: Sequence[tuple[int, int, tuple[int, ...]]], depth: int, free: int,
-    hadj: Sequence[int], hdeg: Sequence[int], image: list[int],
+    plan: Sequence[tuple[int, int, tuple[int, ...], int]], depth: int, free: int,
+    hadj: Sequence[int], image: list[int],
 ) -> bool:
     """Place the plan's steps from ``depth`` on, on the host vertices in
     ``free``, writing each pattern vertex's host vertex into ``image``."""
     if depth == len(plan):
         return True
-    u, du, placed_nbs = plan[depth]
-    cand = free
+    u, du, placed_nbs, bound = plan[depth]
+    cand = free & (-1 << (image[bound] + 1))
     for nb in placed_nbs:
         cand &= hadj[image[nb]]
     while cand:
         low = cand & -cand
         cand ^= low
         w = low.bit_length() - 1
-        if hdeg[w] < du:
+        if hadj[w].bit_count() < du:
             continue
         image[u] = w
-        if _place(plan, depth + 1, free ^ low, hadj, hdeg, image):
+        if _place(plan, depth + 1, free ^ low, hadj, image):
             return True
     return False
 

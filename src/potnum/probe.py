@@ -270,7 +270,10 @@ def run_probe(
     with the failed guard named), a claim past any of those caps is
     reported unverified, and close_to_target names the member of the
     target family it is near (a nearby target of an order outside the
-    family is inconclusive). Step 2 raises CapExceededError past cap_n.
+    family is inconclusive). Step 2 raises CapExceededError past cap_n,
+    and no other error is raised on a graphic input: the halt analysis
+    reads a remainder shorter than the graph it compares it with as not
+    degree-sufficient for it.
     """
     if not is_graphic(seq):
         raise ValueError(f"sequence {seq.to_text()} is not graphic")
@@ -411,9 +414,10 @@ def _iterate(
             ),
         ), reached
 
-    # the degrees of the split graph K_r v Kbar_s, r = floor_needed >= 1 here
+    # the degrees of the split graph K_r v Kbar_s, r = floor_needed >= 1 here;
+    # a remainder with fewer terms than the split graph is not sufficient for it
     r, s = floor_needed, alpha + b_h
-    if degree_sufficient(cur, DegreeSequence([r + s - 1] * r + [r] * s)):
+    if r + s <= cur.n and degree_sufficient(cur, DegreeSequence([r + s - 1] * r + [r] * s)):
         # bounded-max-degree hypotheses hold: d1 < n_ell - f by the halt,
         # minimum term at least the split's minimum degree checked above
         final["branch"] = "bounded_max_degree"
@@ -436,9 +440,9 @@ def _iterate(
     idx = k - ell - p
     f_graph, f_vertices = _pick_min_maxdeg_subgraph(h, prof, idx)
     final["fSubgraphVertices"] = f_vertices
-    # the degrees of K_p v F
+    # the degrees of K_p v F, which a shorter remainder cannot dominate
     host = [p + idx - 1] * p + [d + p for d in f_graph.degrees()]
-    if degree_sufficient(cur, DegreeSequence(host)):
+    if len(host) <= cur.n and degree_sufficient(cur, DegreeSequence(host)):
         final["branch"] = "clique_plus_subgraph"
         return (FOUND_H, h, "degree-sufficient for a clique joined onto an induced subgraph"), reached
     final["branch"] = "near_target"

@@ -1,6 +1,7 @@
 """Command-line surface: outputs, JSON round trips, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import shutil
@@ -46,6 +47,16 @@ def test_analyze_split_json_round_trip(capsys):
     assert payload["sigmaStability"]["status"] == "Stable"
     assert payload["sigmaStability"]["theorem"] == "MainLow"
     assert set(payload) == {"profile", "sigmaStability", "weakStability", "targetPatterns"}
+
+
+def test_analyze_friendship7_is_pinned(capsys):
+    # 15 vertices, near the input bound; its cover search once ran for
+    # tens of seconds through the 645,120 automorphisms of the pattern
+    code, out, _ = run_cli(capsys, "analyze", "friendship 7", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3ca0e16c5ce1526a9bdc0bf7dca24c56154ebf2dcbda297e91317fdedce1b250"
+    )
 
 
 def test_build_pi_tilde(capsys):

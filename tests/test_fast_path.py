@@ -9,6 +9,8 @@ output, ``None`` and dict key order included, on every graphic sequence
 of length at most 8.
 """
 
+import hashlib
+
 from conftest import corpus_patterns
 from potnum.graphs import SmallGraph, find_embedding
 from potnum.oracle import canonical_realization, enumerate_graphic_sequences
@@ -88,3 +90,22 @@ def test_fast_path_matches_reference_up_to_n8():
                 assert got == want and list(got or ()) == list(want or ()), (s, p)
                 calls += 1
     assert calls == 1707 * len(patterns)
+
+
+def test_embeddings_up_to_n8_are_pinned():
+    # the embedding, keys in placement order, of every corpus pattern and
+    # one-vertex-deleted class in the canonical realization of every
+    # graphic sequence of length at most 8, or None: written by the search
+    # without symmetry-breaking bounds, which must not move it
+    patterns = corpus_patterns()
+    digest = hashlib.sha256()
+    hits = 0
+    for n in range(9):
+        for s in enumerate_graphic_sequences(n):
+            host = canonical_realization(s).graph
+            for p in patterns:
+                emb = find_embedding(p, host)
+                digest.update(repr(None if emb is None else tuple(emb.items())).encode())
+                hits += emb is not None
+    assert hits == 24851
+    assert digest.hexdigest() == "06c9b3e1f39a79f863611b472af9610dd64cb8d47ee97c59211bf254d4a9a69b"

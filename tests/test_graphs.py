@@ -10,6 +10,7 @@ from potnum.generators import ExprError, graph_from_text
 from potnum.graphs import (
     CapExceededError,
     SmallGraph,
+    _embedding_plan,
     complement,
     complete_bipartite,
     complete_graph,
@@ -195,6 +196,60 @@ def test_find_embedding_carries_edges():
         m = find_embedding(pattern, host)
         assert m is not None
         assert all(host.has_edge(m[u], m[v]) for u, v in pattern.edges())
+
+
+def test_plan_bounds_admit_only_the_identity_automorphism():
+    # the stabilizer-chain bounds break all of a pattern's symmetry: of the
+    # automorphisms of every graph on 1..7 vertices, networkx's VF2 lists
+    # them all, and the bounds let through exactly one, the identity
+    from networkx import graph_atlas_g
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    graphs = automorphisms = 0
+    for g in graph_atlas_g()[1:]:
+        k = g.number_of_nodes()
+        plan = _embedding_plan(SmallGraph(k, g.edges()))
+        admitted = []
+        for sigma in GraphMatcher(g, g).isomorphisms_iter():
+            image = [sigma[u] for u in range(k)]
+            automorphisms += 1
+            # each step's vertex lands above the image of its bound
+            if all(b == k or image[u] > image[b] for u, _, _, b in plan):
+                admitted.append(image)
+        assert admitted == [list(range(k))], g.edges()
+        graphs += 1
+    assert (graphs, automorphisms) == (1252, 24083)
+
+
+def test_find_embedding_is_the_first_in_plan_order():
+    # the bounded search returns the embedding whose images, in plan
+    # order, are lexicographically least among all embeddings, found here
+    # by brute force over every injective map; None agrees with VF2
+    from networkx import Graph
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    rng = random.Random(26)
+    found = 0
+    for _ in range(3000):
+        pattern = _random_graph(rng, rng.randrange(1, 6), p=rng.random())
+        host = _random_graph(rng, rng.randrange(1, 8), p=rng.random())
+        order = [u for u, _, _, _ in _embedding_plan(pattern)]
+        want = None
+        for images in permutations(range(host.k), pattern.k):
+            emb = dict(zip(order, images))
+            if all(host.has_edge(emb[u], emb[v]) for u, v in pattern.edges()):
+                want = emb
+                break
+        got = find_embedding(pattern, host)
+        assert got == want and list(got or ()) == list(want or ()), (pattern, host)
+        g, p = Graph(), Graph()
+        g.add_nodes_from(range(host.k))
+        g.add_edges_from(host.edges())
+        p.add_nodes_from(range(pattern.k))
+        p.add_edges_from(pattern.edges())
+        assert (got is not None) == GraphMatcher(g, p).subgraph_is_monomorphic()
+        found += got is not None
+    assert 0 < found < 3000
 
 
 def test_find_embedding_leaves_no_cyclic_garbage():

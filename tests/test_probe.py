@@ -12,10 +12,15 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import corpus
 from potnum.generators import graph_from_text
-from potnum.graphs import SmallGraph, complete_graph, complete_split, cycle_graph, friendship_graph
+from potnum.graphs import CapExceededError, SmallGraph, complete_graph, complete_split, cycle_graph, friendship_graph
 from potnum.oracle import enumerate_graphic_sequences, sigma_exact
 from potnum.potential import profile, target_family
 from potnum.probe import (
+    CLOSE_TO_TARGET,
+    DECLARED_POTENTIAL,
+    FOUND_H,
+    FOUND_SPLIT,
+    INCONCLUSIVE,
     ProbeConfig,
     default_f,
     delta_bound,
@@ -250,13 +255,7 @@ def test_integer_comparisons_match_the_fraction_expressions(h, s, data):
     k, i_star = prof.k, prof.i_star
     nab = prof.nabla_table[i_star]
     cfg = data.draw(_configs(k))
-    try:
-        verdict, trace = run_probe(s, h, cfg)
-    except ValueError as exc:
-        # a remainder shorter than the graph the halt analysis compares it
-        # with is a known fault, outside these comparisons: no trace is left
-        assert str(exc).startswith("comparison sequence longer"), exc
-        return
+    verdict, trace = run_probe(s, h, cfg)
     delta, n = trace.delta, s.n
     # the precondition, and the floor its warning prints
     floor = (prof.sigma_tilde - delta) * n
@@ -281,6 +280,39 @@ def test_integer_comparisons_match_the_fraction_expressions(h, s, data):
         assert guard == (rec.halting_reason == "step4_guard")
         if k * delta >= 1:
             assert rec.halting_reason is None
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(corpus())), s=_graphic(), oracle=st.booleans(), data=st.data())
+def test_probe_answers_every_graphic_input(name, s, oracle, data):
+    # a verdict, or the one documented refusal, on the whole input domain
+    f = data.draw(st.integers(1, max(s.n, 1)))
+    try:
+        verdict, trace = run_probe(s, corpus()[name], ProbeConfig(f_override=f, oracle_fallback=oracle))
+    except CapExceededError:
+        return
+    assert verdict.kind in (FOUND_H, FOUND_SPLIT, CLOSE_TO_TARGET, DECLARED_POTENTIAL, INCONCLUSIVE)
+    assert trace.to_json_lines()
+
+
+# Every input over the corpus, graphic sequences of length at most 7 and
+# f = 1..7, whose remainder is shorter than the split graph or K_p v F the
+# halt analysis compares it with. Such a remainder is not degree-sufficient
+# for it, so each run goes on to the target family, outside which it lies.
+_SHORT_REMAINDERS = [
+    ("C 5", "2^4", 1), ("C 6", "2^4", 1), ("C 6", "4,3^4", 1), ("C 6", "4,3,3,2,2", 1),
+    ("C 6", "3^4,2", 1), ("C 6", "4,2^4", 1), ("C 6", "4,2^4", 2), ("C 6", "3,3,2^3", 1),
+    ("C 6", "2^5", 1), ("C 6", "2^5", 2), ("Kbip 2 3", "2^4", 1), ("split 2 3", "2^4", 1),
+    ("friendship 2", "2^4", 1),
+]
+
+
+@pytest.mark.parametrize("graph, sequence, f", _SHORT_REMAINDERS)
+def test_a_short_remainder_is_not_degree_sufficient(graph, sequence, f):
+    for oracle in (True, False):
+        verdict, trace = run_probe(seq(sequence), graph_from_text(graph), ProbeConfig(f_override=f, oracle_fallback=oracle))
+        assert verdict.kind == INCONCLUSIVE and "outside the target family" in verdict.reason
+        assert trace.final["branch"] == "near_target"
 
 
 # --- every verdict path, pinned ----------------------------------------------------
