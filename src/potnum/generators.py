@@ -17,13 +17,14 @@ Examples: ``join(K 2, Kbar 3)`` is the complete split graph K2 v K3bar,
 from __future__ import annotations
 
 from collections import namedtuple
+from types import MappingProxyType
 
 from . import graphs
 from .graphs import CapExceededError, SmallGraph
 from .sequences import MAX_DIGITS, MAX_INT_ARG
 
 # name -> (arity, order of the graph from the arguments, constructor)
-GENERATORS = {
+GENERATORS = MappingProxyType({
     "K": (1, lambda n: n, graphs.complete_graph),
     "Kbar": (1, lambda n: n, graphs.empty_graph),
     "C": (1, lambda n: n, graphs.cycle_graph),
@@ -32,14 +33,14 @@ GENERATORS = {
     "split": (2, lambda r, t: r + t, graphs.complete_split),
     "dstar": (2, lambda b1, b2: b1 + b2 + 2, graphs.double_star),
     "friendship": (1, lambda t: 2 * t + 1, graphs.friendship_graph),
-}
+})
 
 # name -> (arity, constructor); a call's order is the sum of its operands'
-CALLS = {
+CALLS = MappingProxyType({
     "join": (2, graphs.join),
     "union": (2, graphs.disjoint_union),
     "complement": (1, graphs.complement),
-}
+})
 
 # Calls nest at most this deep, which keeps the parser, ``expr_order`` and
 # ``build`` far inside Python's recursion limit.

@@ -69,9 +69,6 @@ class SmallGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(m.bit_count() for m in self.adj)
 
@@ -218,21 +215,13 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def nabla(h: SmallGraph, i: int) -> int:
-    """Minimum over all order-i induced subgraphs of the maximum degree.
+def _min_induced_max_degree(h: SmallGraph, i: int) -> int:
+    """nabla_i(h): the minimum over all order-i induced subgraphs of the
+    maximum degree.
 
     Defined only for alpha(h)+1 <= i <= k: below that range an independent
-    set would force the value to 0.
+    set would force the value to 0. The caller keeps i in that range.
     """
-    a = independence_number(h)
-    if not a + 1 <= i <= h.k:
-        raise ValueError(f"order {i} outside valid range {a + 1}..{h.k}")
-    return _min_induced_max_degree(h, i)
-
-
-def _min_induced_max_degree(h: SmallGraph, i: int) -> int:
-    """``nabla`` without its range check, for a caller that knows
-    alpha(h) < i <= k."""
     best = h.k
     for subset in combinations(range(h.k), i):
         mask = 0
@@ -432,9 +421,3 @@ def parse_graph_file(text: str) -> SmallGraph:
     if k is None:
         raise ValueError("missing 'n <k>' line")
     return SmallGraph(k, edges)
-
-
-def format_graph_file(g: SmallGraph) -> str:
-    lines = [f"n {g.k}"]
-    lines += [f"e {u + 1} {v + 1}" for u, v in g.edges()]
-    return "\n".join(lines) + "\n"

@@ -201,18 +201,6 @@ class ProbeTrace(
             "total": init + step2 + step3 + step4,
         }
 
-    def shrinkage_bound_applicable(self, k: int) -> bool:
-        """Whether the run's constants justify asserting the asymptotic
-        shrinkage bound n - n_ell < (epsilon / 8k) n."""
-        if 1 - k * self.delta <= 0:
-            return False
-        constant = (
-            self.delta * (k * k + 3 * k + 2) / (1 - k * self.delta) * self.n
-            + k * self.f
-            + k
-        )
-        return constant <= Fraction(self.epsilon, 8 * k) * self.n
-
     def to_json_lines(self) -> list[str]:
         head = {
             "record": "config",

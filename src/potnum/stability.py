@@ -20,13 +20,7 @@ from .graphs import (
     one_edge_set_exists,
     spanning_subgraph_of,
 )
-from .potential import (
-    ExtremalWitness,
-    asymptotic_degree_sufficient_rho,
-    profile,
-    rho,
-    rho_pattern_text,
-)
+from .potential import asymptotic_degree_sufficient_rho, profile, rho_pattern_text
 
 STABLE = "Stable"
 NOT_STABLE = "NotStable"
@@ -46,12 +40,6 @@ class StabilityVerdict(namedtuple("StabilityVerdict", "status theorem cover grap
 
     __slots__ = ()
 
-    def witness(self, n: int) -> ExtremalWitness:
-        """Non-stability witness sequence at length n (NotStable only)."""
-        if self.status != NOT_STABLE:
-            raise ValueError("witness sequences exist only for NotStable verdicts")
-        return rho(self.graph, n)
-
     def to_json_dict(self) -> dict:
         return {
             "status": self.status,
@@ -70,11 +58,6 @@ class WeakVerdict(namedtuple("WeakVerdict", "status basis graph note", defaults=
     ``graph``: H; ``note``: a str."""
 
     __slots__ = ()
-
-    def witness(self, n: int) -> ExtremalWitness:
-        if self.status != NOT_WEAKLY_STABLE:
-            raise ValueError("witness sequences exist only for NotWeaklyStable verdicts")
-        return rho(self.graph, n)
 
     def to_json_dict(self) -> dict:
         return {

@@ -20,17 +20,16 @@ from potnum.graphs import (
     empty_graph,
     double_star,
     find_embedding,
-    format_graph_file,
     friendship_graph,
     independence_number,
     is_isomorphic,
     join,
-    nabla,
     one_edge_set_exists,
     parse_graph_file,
     path_graph,
     spanning_subgraph_of,
 )
+from potnum.potential import profile
 
 
 def _random_graph(rng, k, p=0.5):
@@ -107,18 +106,15 @@ def test_independence_matches_subset_enumeration():
 
 
 def test_nabla_examples():
-    assert nabla(complete_graph(3), 2) == 1
-    assert nabla(cycle_graph(6), 4) == 1
+    assert profile(complete_graph(3)).nabla_table[2] == 1
+    assert profile(cycle_graph(6)).nabla_table[4] == 1
     for h in (complete_graph(4), cycle_graph(5), friendship_graph(2)):
-        assert nabla(h, h.k) == h.max_degree()
+        assert profile(h).nabla_table[h.k] == h.max_degree()
 
 
 def test_nabla_range_enforced():
-    c6 = cycle_graph(6)  # alpha = 3
-    with pytest.raises(ValueError):
-        nabla(c6, 3)
-    with pytest.raises(ValueError):
-        nabla(c6, 7)
+    # alpha(C6) = 3: the table holds the orders alpha+1..k only
+    assert set(profile(cycle_graph(6)).nabla_table) == {4, 5, 6}
 
 
 def test_nabla_grows_on_induced_subgraphs():
@@ -130,10 +126,11 @@ def test_nabla_grows_on_induced_subgraphs():
         a_h = independence_number(h)
         for f, _ in deleted_family(h, 1):
             a_f = independence_number(f)
+            # profile rejects an edgeless graph, whose range here is empty
             for j in range(max(a_h, a_f) + 1, f.k + 1):
-                assert nabla(f, j) >= nabla(h, j)
+                assert profile(f).nabla_table[j] >= profile(h).nabla_table[j]
     paw = SmallGraph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
-    assert nabla(paw.induced([0, 1, 2]), 3) == 2 > 1 == nabla(paw, 3)
+    assert profile(paw.induced([0, 1, 2])).nabla_table[3] == 2 > 1 == profile(paw).nabla_table[3]
 
 
 # --- deleted families ----------------------------------------------------------
@@ -326,10 +323,8 @@ def test_is_isomorphic_distinguishes():
 
 
 def test_graph_file_round_trip():
-    g = friendship_graph(2)
-    text = format_graph_file(g)
-    assert text.splitlines()[0] == "n 5"
-    assert parse_graph_file(text) == g
+    text = "n 5\ne 1 2\ne 1 3\ne 2 3\ne 1 4\ne 1 5\ne 4 5\n"
+    assert parse_graph_file(text) == friendship_graph(2)
 
 
 def test_graph_file_errors():

@@ -54,7 +54,7 @@ def seq(text):
 
 def test_canonical_realization_star():
     r = canonical_realization(seq("7,1^7"))
-    assert r.graph.degree(0) == 7
+    assert r.graph.degrees()[0] == 7
     assert is_isomorphic(r.graph, join(complete_graph(1), SmallGraph(7)))
 
 

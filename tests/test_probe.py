@@ -184,25 +184,6 @@ def test_near_target_outside_family_is_inconclusive():
         assert "order 5" in verdict.reason and "sigma_tilde = 4" in verdict.reason
 
 
-def test_shrinkage_bound_gate():
-    # the asymptotic shrinkage bound n - n_ell < (eps/8k) n is asserted
-    # only when the run's constants make its derivation valid; at these
-    # lengths the additive constant alone closes the gate, so the check
-    # is vacuously satisfied and the exact accounting identity carries
-    # the weight instead
-    from potnum.potential import profile
-
-    s = seq("9,3^9")
-    h = complete_split(2, 3)
-    _, trace = run_probe(s, h, ProbeConfig(f_override=3))
-    p = profile(h)
-    applicable = trace.shrinkage_bound_applicable(p.k)
-    assert not applicable
-    if applicable and trace.ell is not None:
-        final_n = trace.iterations[-1].n_t
-        assert s.n - final_n < trace.epsilon / (8 * p.k) * s.n
-
-
 # --- the integer comparisons, against the Fraction expressions --------------
 
 _EPSILONS = st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(1, 10), Fraction(49, 100)])

@@ -14,6 +14,7 @@ from potnum.graphs import (
     friendship_graph,
     path_graph,
 )
+from potnum.potential import rho
 from potnum.stability import (
     CoverUndefinedError,
     classify_sigma,
@@ -45,7 +46,7 @@ def test_classify_cliques_not_stable():
     for k in range(3, 9):
         v = classify_sigma(complete_graph(k))
         assert v.status == "NotStable" and v.theorem == "NotStable"
-        w = v.witness(k + 3)
+        w = rho(v.graph, k + 3)
         assert w.seq.n == k + 3
 
 
@@ -97,12 +98,6 @@ def test_classify_rejects_edgeless():
         classify_sigma(SmallGraph(4))
 
 
-def test_witness_only_for_not_stable():
-    v = classify_sigma(cycle_graph(5))
-    with pytest.raises(ValueError):
-        v.witness(9)
-
-
 # --- weak stability --------------------------------------------------------------
 
 
@@ -115,7 +110,7 @@ def test_weak_cliques():
 def test_weak_c6_not_weakly_stable():
     v = classify_weak(cycle_graph(6))
     assert (v.status, v.basis) == ("NotWeaklyStable", "RhoDegreeSufficient")
-    assert v.witness(9).seq.n == 9
+    assert rho(v.graph, 9).seq.n == 9
 
 
 def test_weak_implied_by_stable():
