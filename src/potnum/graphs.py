@@ -75,9 +75,6 @@ class SmallGraph:
     def degree_sequence(self) -> DegreeSequence:
         return DegreeSequence(self.degrees())
 
-    def max_degree(self) -> int:
-        return max((m.bit_count() for m in self.adj), default=0)
-
     def is_complete(self) -> bool:
         return self.edge_count() == self.k * (self.k - 1) // 2
 
@@ -250,17 +247,23 @@ def deleted_family(h: SmallGraph, t: int) -> Iterator[tuple[SmallGraph, tuple[in
             yield sub, deleted
 
 
-def one_edge_set_exists(h: SmallGraph, size: int) -> bool:
-    """True iff some ``size``-subset of vertices induces exactly one edge."""
-    if not 1 <= size <= h.k:
-        raise ValueError(f"subset size {size} out of range 1..{h.k}")
-    for subset in combinations(range(h.k), size):
-        mask = 0
-        for v in subset:
-            mask |= 1 << v
-        if sum((h.adj[v] & mask).bit_count() for v in subset) // 2 == 1:
-            return True
-    return False
+def _independent_sets(g: SmallGraph, size: int) -> list[int]:
+    """Masks of the independent sets of ``size`` vertices of g, in the
+    lexicographic order of their sorted vertex tuples."""
+    found = []
+
+    def grow(mask: int, avail: int, need: int) -> None:
+        if not need:
+            found.append(mask)
+            return
+        # each pick is the lowest vertex left, so later picks lie above it
+        while avail.bit_count() >= need:
+            low = avail & -avail
+            avail ^= low
+            grow(mask | low, avail & ~g.adj[low.bit_length() - 1], need - 1)
+
+    grow(0, (1 << g.k) - 1, size)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +370,6 @@ def _place(
         if _place(plan, depth + 1, free ^ low, hadj, image):
             return True
     return False
-
-
-def spanning_subgraph_of(h: SmallGraph, host: SmallGraph) -> bool:
-    """True iff some bijection maps every edge of h to an edge of host."""
-    if h.k != host.k:
-        raise ValueError(f"order mismatch: {h.k} vs {host.k}")
-    if h.edge_count() > host.edge_count():
-        return False
-    return find_embedding(h, host) is not None
 
 
 def is_isomorphic(a: SmallGraph, b: SmallGraph) -> bool:

@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
 
-from .graphs import CapExceededError, SmallGraph, complete_split, independence_number
+from .graphs import CapExceededError, SmallGraph, _independent_sets, complete_split
 from .oracle import (
     DEFAULT_CAP_N,
     canonical_realization,
@@ -465,19 +465,20 @@ def _pick_min_maxdeg_subgraph(h: SmallGraph, prof: PotentialProfile, j: int) -> 
     """Order-j induced subgraph attaining the minimum maximum degree
     nabla_j of the profile ``prof`` of h.
 
-    Prefers a subset containing a maximum independent set of h (detected
-    by an unchanged independence number), then the lexicographically first
-    attaining subset.
+    Prefers a subset containing a maximum independent set of h, then the
+    lexicographically first attaining subset.
     """
     target = prof.nabla_table[j]
-    fallback = None
+    max_sets = _independent_sets(h, prof.alpha)
+    chosen = None
     for subset in combinations(range(h.k), j):
-        sub = h.induced(subset)
-        if sub.max_degree() != target:
+        mask = sum(1 << v for v in subset)
+        if max((h.adj[v] & mask).bit_count() for v in subset) != target:
             continue
-        if independence_number(sub) == prof.alpha:
-            return sub, subset
-        if fallback is None:
-            fallback = (sub, subset)
-    assert fallback is not None
-    return fallback
+        if any(not s & ~mask for s in max_sets):
+            chosen = subset
+            break
+        if chosen is None:
+            chosen = subset
+    assert chosen is not None
+    return h.induced(chosen), chosen

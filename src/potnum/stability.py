@@ -10,16 +10,9 @@ in the remaining cell.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from itertools import combinations
 
-from .graphs import (
-    SmallGraph,
-    complete_graph,
-    double_star,
-    join,
-    one_edge_set_exists,
-    spanning_subgraph_of,
-)
+from .graphs import SmallGraph, _independent_sets
 from .potential import asymptotic_degree_sufficient_rho, profile, rho_pattern_text
 
 STABLE = "Stable"
@@ -73,28 +66,44 @@ class WeakVerdict(namedtuple("WeakVerdict", "status basis graph note", defaults=
 def double_star_cover(h: SmallGraph) -> tuple[int, int] | None:
     """Least (b1, b2), b1 >= b2, b1+b2 = alpha, with h spanning the host
     clique(k-alpha-2) joined to the (b1, b2) double star; None if no pair
-    works. Raises CoverUndefinedError when k - alpha - 2 < 0."""
+    works. Raises CoverUndefinedError when k - alpha - 2 < 0.
+
+    The host's only non-edges lie among the alpha leaves, and between each
+    center and the other center's leaves. So a bijection carries h into
+    the host exactly when it sends the leaves onto a maximum independent
+    set I of h, and the centers onto two vertices c1, c2 outside I whose
+    neighbours in I lie among their own leaves. Such a split of I exists
+    iff c1 and c2 have no common neighbour in I, with b1 >= |N(c1) & I|
+    and b2 >= |N(c2) & I|. Taking c1 as the center with more neighbours
+    in I, the least b1 >= b2 is max(ceil(alpha/2), |N(c1) & I|,
+    |N(c2) & I|): b2 = alpha - b1 is then at least |N(c2) & I|, which is
+    at most alpha/2 and at most alpha - |N(c1) & I|.
+    """
     prof = profile(h)
     k, alpha = prof.k, prof.alpha
     if k - alpha - 2 < 0:
         raise CoverUndefinedError(
             f"cover host undefined: k - alpha - 2 = {k - alpha - 2}"
         )
-    for b1 in range((alpha + 1) // 2, alpha + 1):
-        b2 = alpha - b1
-        host = join(complete_graph(k - alpha - 2), double_star(b1, b2))
-        if spanning_subgraph_of(h, host):
-            return (b1, b2)
-    return None
+    best = None
+    for leaves in _independent_sets(h, alpha):
+        outside = [v for v in range(k) if not (leaves >> v) & 1]
+        for c1, c2 in combinations(outside, 2):
+            n1, n2 = h.adj[c1] & leaves, h.adj[c2] & leaves
+            if not n1 & n2:
+                b1 = max((alpha + 1) // 2, n1.bit_count(), n2.bit_count())
+                if best is None or b1 < best:
+                    best = b1
+    return None if best is None else (best, alpha - best)
 
 
-@lru_cache(maxsize=1 << 12)
 def classify_sigma(h: SmallGraph) -> StabilityVerdict:
     """Stability with respect to the potential number.
 
     Never extrapolates beyond the characterization theorems; the Unknown
-    cells name the hypothesis that failed. Cached, so that ``classify_weak``
-    does not repeat the cover search for a graph already classified.
+    cells name the hypothesis that failed. Some (alpha+1)-set induces
+    exactly one edge uv iff u has exactly one neighbour, v, in the maximum
+    independent set that the set's other alpha vertices form.
     """
     prof = profile(h)
     if not prof.is_type2:
@@ -116,7 +125,7 @@ def classify_sigma(h: SmallGraph) -> StabilityVerdict:
             status=NOT_STABLE, theorem="NotStable", cover=None, graph=h,
             note="Type 2 and no clique-plus-double-star host covers the graph",
         )
-    if one_edge_set_exists(h, prof.alpha + 1):
+    if any((a & i).bit_count() == 1 for i in _independent_sets(h, prof.alpha) for a in h.adj):
         return StabilityVerdict(
             status=STABLE, theorem="MainHigh", cover=cover, graph=h,
             note="Type 2, covered, and some (alpha+1)-set induces exactly one edge",

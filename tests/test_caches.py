@@ -14,7 +14,6 @@ AUDITED = {
     "potnum.oracle._distinct_copies",
     "potnum.oracle._sorted_degrees",
     "potnum.potential.profile",
-    "potnum.stability.classify_sigma",
     "potnum.probe.delta_bound",
 }
 

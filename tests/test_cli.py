@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import potnum
 from potnum.cli import MAX_DIGITS, build_parser, main
 from potnum.generators import graph_from_text
+from potnum.graphs import MAX_ORDER
 from potnum.probe import ProbeConfig, run_probe
 from potnum.sequences import parse_sequence
 
@@ -57,6 +58,20 @@ def test_analyze_friendship7_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "3ca0e16c5ce1526a9bdc0bf7dca24c56154ebf2dcbda297e91317fdedce1b250"
     )
+
+
+@pytest.mark.parametrize("expr, want", [
+    ("C 16", ("Unknown", None, [4, 4])),
+    ("P 16", ("Stable", "MainHigh", [4, 4])),
+    ("union(C 8, C 8)", ("Unknown", None, [4, 4])),
+])
+def test_analyze_at_the_input_bound(capsys, expr, want):
+    # graphs at the input bound, whose verdicts must come back in well
+    # under a second
+    code, out, _ = run_cli(capsys, "analyze", expr, "--json")
+    assert code == 0
+    verdict = json.loads(out)["sigmaStability"]
+    assert (verdict["status"], verdict["theorem"], verdict["coverB1B2"]) == want
 
 
 def test_build_pi_tilde(capsys):
@@ -296,7 +311,7 @@ def test_help_smoke(capsys):
     assert done.value.code == 0 and capsys.readouterr().out.startswith("usage: potnum")
 
 
-# argv drawn from the command grammar (graphs on at most 6 vertices,
+# argv drawn from the command grammar (graphs up to the input bound,
 # lengths of at most 8), each slot now and then replaced by a bad token
 
 
@@ -329,7 +344,7 @@ def _or(good, bad):
 # integers past every cap: lengths, orders and repeat counts, 1000 digits
 # and more, and more than the 4,300 digits Python converts
 _HUGE = st.sampled_from(["11", "17", "1000001", "1" * 1001, "9" * 1200, "-" + "1" * 1001, "1" * 5000])
-_GRAPH = _or(_graph(6, 2), st.one_of(
+_GRAPH = _or(_graph(MAX_ORDER, 2), st.one_of(
     st.sampled_from(["frob", "Q 3", "K", "join(K 2)", "", "K 12", "K 17", "Kbip 9 9", "friendship 9"]),
     _HUGE.map("K {}".format),
 ))

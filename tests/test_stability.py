@@ -1,8 +1,10 @@
 """Stability classifiers: covers, verdicts, and the derived weak notion."""
 
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
-from potnum import stability
 from potnum.graphs import (
     SmallGraph,
     complete_bipartite,
@@ -14,7 +16,7 @@ from potnum.graphs import (
     friendship_graph,
     path_graph,
 )
-from potnum.potential import rho
+from potnum.potential import profile, rho
 from potnum.stability import (
     CoverUndefinedError,
     classify_sigma,
@@ -32,6 +34,47 @@ def test_cover_examples():
     assert double_star_cover(cycle_graph(6)) is None
     assert double_star_cover(cycle_graph(7)) == (2, 1)
     assert double_star_cover(friendship_graph(2)) == (1, 1)
+
+
+def _atlas_graphs(max_order):
+    """Every graph with an edge on at most ``max_order`` vertices, once up
+    to isomorphism: (networkx graph, SmallGraph)."""
+    from networkx import graph_atlas_g
+
+    for g in graph_atlas_g()[1:]:
+        if g.number_of_edges() and g.number_of_nodes() <= max_order:
+            yield g, SmallGraph(g.number_of_nodes(), g.edges())
+
+
+def test_cover_and_one_edge_set_match_independent_searches():
+    # the least b1 for which VF2 finds h inside the host, built in
+    # networkx, and the one-edge set by counting edges over every subset
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    checked = 0
+    for g, h in _atlas_graphs(6):
+        alpha = max(len(c) for c in nx.find_cliques(nx.complement(g)))
+        k = h.k
+        if k - alpha - 2 < 0 or not profile(h).is_type2:
+            continue
+        want = None
+        for b1 in range((alpha + 1) // 2, alpha + 1):
+            star = nx.Graph([(0, 1)] + [(0, 2 + i) for i in range(b1)]
+                            + [(1, 2 + b1 + i) for i in range(alpha - b1)])
+            host = nx.full_join(nx.complete_graph(k - alpha - 2), star, rename=("c", "s"))
+            if GraphMatcher(host, g).subgraph_is_monomorphic():
+                want = (b1, alpha - b1)
+                break
+        one_edge = any(g.subgraph(s).number_of_edges() == 1 for s in combinations(g, alpha + 1))
+        v = classify_sigma(h)
+        assert double_star_cover(h) == want == v.cover, g.edges()
+        if want is None:
+            assert v.status == "NotStable", g.edges()
+        else:
+            assert v.theorem == ("MainHigh" if one_edge else None), g.edges()
+        checked += 1
+    assert checked == 128
 
 
 def test_cover_ill_posed():
@@ -74,23 +117,6 @@ def test_classify_unknown_when_cover_ill_posed():
     h = disjoint_union(complete_graph(2), empty_graph(2))
     v = classify_sigma(h)
     assert v.status == "Unknown" and v.theorem is None
-
-
-def test_cover_search_runs_once_per_graph(monkeypatch):
-    # potnum analyze classifies sigma-stability and then weak stability,
-    # which reads the sigma verdict: the cover search must not run twice
-    calls = []
-
-    def counting_cover(h):
-        calls.append(h)
-        return double_star_cover(h)
-
-    monkeypatch.setattr(stability, "double_star_cover", counting_cover)
-    classify_sigma.cache_clear()
-    h = cycle_graph(6)
-    assert classify_sigma(h).status == "NotStable"
-    assert classify_weak(h).status == "NotWeaklyStable"
-    assert calls == [h]
 
 
 def test_classify_rejects_edgeless():
@@ -140,6 +166,19 @@ def test_decision_procedure_total():
         assert v.status in {"Stable", "NotStable", "Unknown"}
         w = classify_weak(h)
         assert w.status in {"WeaklyStable", "NotWeaklyStable", "Unknown"}
+
+
+# --- the census over the atlas ----------------------------------------------------
+
+
+def test_stability_census_of_the_atlas():
+    sigma, weak = Counter(), Counter()
+    for _, h in _atlas_graphs(7):
+        v = classify_sigma(h)
+        sigma[v.theorem if v.status == "Stable" else v.status] += 1
+        weak[classify_weak(h).status] += 1
+    assert sigma == {"MainLow": 351, "MainHigh": 671, "NotStable": 213, "Unknown": 10}
+    assert weak == {"WeaklyStable": 1027, "NotWeaklyStable": 98, "Unknown": 120}
 
 
 # --- report shapes ------------------------------------------------------------------
