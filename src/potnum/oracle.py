@@ -39,10 +39,12 @@ in order:
 * dominating heads (d1 = n-1) are stripped recursively, trading H for its
   one-vertex-deleted family, which keeps near-extremal sequences cheap;
 * the Havel–Hakimi fast path: H embeds in the canonical realization;
-* otherwise the full placement search: every automorphism-distinct copy
-  of H is placed on every degree-distinct k-subset of positions, and the
+* otherwise the full placement search: the automorphism-distinct copies
+  of H are placed on every degree-distinct k-subset of positions, and the
   leftover demands are realized by backtracking edge assignment avoiding
-  the placed copy, pruned by Erdős–Gallai feasibility at each level. One
+  the placed copy, pruned by Erdős–Gallai feasibility at each level. A
+  copy that a swap of two adjacent slots on equal terms turns into an
+  earlier copy is skipped: the two pose isomorphic residual problems. One
   enumerator, ``_prefix_choices``, gives both the position subsets (a
   prefix of each run of equal degree) and each pivot's partner sets (a
   prefix of each class of interchangeable partners).
@@ -179,25 +181,44 @@ def _d1_classes(h: SmallGraph) -> tuple[tuple[SmallGraph, int], ...]:
 
 
 @lru_cache(maxsize=1 << 12)
-def _distinct_copies(h: SmallGraph) -> tuple[tuple[tuple[tuple[int, int], ...], tuple[int, ...]], ...]:
-    """Distinct labeled copies of h on slots 0..k-1, one per edge set.
+def _distinct_copies(
+    h: SmallGraph,
+) -> tuple[tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...], int], ...]:
+    """Distinct labeled copies of h on slots 0..k-1, one per edge set, in
+    the order of the first permutation of h's vertices that gives each.
 
-    Each entry is (sorted edge tuple, vertex map h-vertex -> slot). The
-    count is k!/|Aut(h)|; enumeration collapses automorphic duplicates.
+    Each entry is (sorted edge tuple, vertex map h-vertex -> slot, slot
+    degrees, swap mask). Bit a of the swap mask is set when swapping slots
+    a and a+1 turns the copy into one earlier in the list. The count is
+    k!/|Aut(h)|; enumeration collapses automorphic duplicates.
     """
     k = h.k
     hedges = h.edges()
-    seen = set()
+    # one bit per slot pair, so that an edge set is an int
+    bit = [[1 << (a * k + b if a < b else b * k + a) for b in range(k)] for a in range(k)]
+    swapped = [[*range(a), a + 1, a, *range(a + 2, k)] for a in range(k - 1)]
+    index: dict[int, int] = {}
     out = []
     for perm in permutations(range(k)):
-        edges = frozenset(
-            (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
-            for u, v in hedges
-        )
-        if edges in seen:
+        key = 0
+        for u, v in hedges:
+            key |= bit[perm[u]][perm[v]]
+        if key in index:
             continue
-        seen.add(edges)
-        out.append((tuple(sorted(edges)), tuple(perm)))
+        edges = tuple(sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in hedges))
+        degrees = [0] * k
+        for a, b in edges:
+            degrees[a] += 1
+            degrees[b] += 1
+        swaps = 0
+        for a, relabel in enumerate(swapped):
+            image = 0
+            for x, y in edges:
+                image |= bit[relabel[x]][relabel[y]]
+            if image in index:
+                swaps |= 1 << a
+        index[key] = len(out)
+        out.append((edges, perm, tuple(degrees), swaps))
     return tuple(out)
 
 
@@ -279,8 +300,9 @@ def _solve_residual(demands: list[int], forb: Sequence[int]) -> list[tuple[int, 
 class Refutation(namedtuple("Refutation", "rule subsets patterns residual_calls", defaults=(0, 0, 0))):
     """A false decision: the ``rule`` that refuted the sequence (str) and
     the work it cost, summed over the sub-decisions of a dominating-head
-    strip: the position ``subsets`` and ``patterns`` the full search tried
-    and its ``residual_calls`` (ints)."""
+    strip: the position ``subsets`` the full search tried, the
+    ``patterns`` (copies on a subset) it did not skip by a swap of
+    equal-term slots, and its ``residual_calls`` (ints)."""
 
     __slots__ = ()
 
@@ -300,9 +322,18 @@ def _full_search(terms: tuple[int, ...], h: SmallGraph) -> _Decision:
     prefix of each run of equal degree, as ``_prefix_choices`` gives them,
     and solve the residual demands around it.
 
+    On a subset, a copy whose swap mask (``_distinct_copies``) shares a
+    bit a with the subset's positions a and a+1 carrying equal terms is
+    skipped. Swapping those slots turns it into an earlier copy whose
+    residual problem is the same up to exchanging the two positions, so
+    the skipped copy succeeds exactly when that one does. The first copy
+    that succeeds is never skipped, since its earlier image would succeed
+    before it, so the witness is the one the unskipped search finds.
+
     Returns a witness builder or a ``full_search`` refutation with its
-    counts of subsets, patterns and residual calls. Complete on its own:
-    any realization containing a copy of h induces a successful placement.
+    counts of subsets, unskipped patterns and residual calls. Complete on
+    its own: any realization containing a copy of h induces a successful
+    placement.
     """
     n = len(terms)
     k = h.k
@@ -316,17 +347,20 @@ def _full_search(terms: tuple[int, ...], h: SmallGraph) -> _Decision:
         subset_count += 1
         if any(terms[p] < hdegs[idx] for idx, p in enumerate(positions)):
             continue
-        for slot_edges, vmap in copies:
+        # bit a: positions a and a+1 carry equal terms
+        same = 0
+        for a in range(k - 1):
+            if terms[positions[a]] == terms[positions[a + 1]]:
+                same |= 1 << a
+        for slot_edges, vmap, slot_degrees, swaps in copies:
+            if swaps & same:
+                continue
             pattern_count += 1
-            patdeg = [0] * k
-            for a, b in slot_edges:
-                patdeg[a] += 1
-                patdeg[b] += 1
             demands = list(terms)
             ok = True
-            for slot in range(k):
-                demands[positions[slot]] -= patdeg[slot]
-                if demands[positions[slot]] < 0:
+            for p, dg in zip(positions, slot_degrees):
+                demands[p] -= dg
+                if demands[p] < 0:
                     ok = False
             if not ok:
                 continue
@@ -401,8 +435,9 @@ def potentially(
     gives an embedding plus a witnessing realization. When false,
     ``exhausted`` holds the refutation: the ``rule`` that refuted the
     sequence (``degree``, ``dominating_head`` or ``full_search``) and the
-    ``subsets``, ``patterns`` and ``residual_calls`` it searched. A
-    repeat call reports the same.
+    ``subsets``, ``patterns`` and ``residual_calls`` it searched, where
+    ``patterns`` leaves out the copies skipped by a swap of equal-term
+    slots. A repeat call reports the same.
     """
     if not is_graphic(seq):
         raise ValueError(f"sequence {seq.to_text()} is not graphic")

@@ -345,7 +345,7 @@ def _or(good, bad):
 # and more, and more than the 4,300 digits Python converts
 _HUGE = st.sampled_from(["11", "17", "1000001", "1" * 1001, "9" * 1200, "-" + "1" * 1001, "1" * 5000])
 _GRAPH = _or(_graph(MAX_ORDER, 2), st.one_of(
-    st.sampled_from(["frob", "Q 3", "K", "join(K 2)", "", "K 12", "K 17", "Kbip 9 9", "friendship 9"]),
+    st.sampled_from(["frob", "Q 3", "K", "join(K 2)", "", "K 18", "K 17", "Kbip 9 9", "friendship 9"]),
     _HUGE.map("K {}".format),
 ))
 _LENGTH = st.integers(1, 8).map(str)

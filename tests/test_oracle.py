@@ -12,7 +12,7 @@ import importlib.util
 import random
 import sys
 import threading
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 from pathlib import Path
 
 import pytest
@@ -115,17 +115,18 @@ def test_solve_residual_leaves_no_cyclic_garbage():
         gc.enable()
 
 
-def test_full_search_pinned_on_every_pair_that_reaches_it():
-    # every (sequence, pattern) pair with n <= 9 that the decision sends to
-    # the full placement search: past the degree pre-check, no dominating
-    # head, and no copy in the canonical realization. The digest covers each
-    # witness's embedding (key order included) and edge list and each
-    # refutation's counters; it was written by the search before its
-    # enumeration was folded into one generator.
+def _full_search_digest(lengths):
+    """Every (sequence, pattern) pair of the given lengths that the decision
+    sends to the full placement search: past the degree pre-check, no
+    dominating head, and no copy in the canonical realization. Returns the
+    counts of witnesses and refutations, a digest of each witness's
+    embedding (key order included) and edge list and of each refuted
+    sequence, and the refutations' summed counters."""
     digest = hashlib.sha256()
     witnessed = refuted = 0
+    work = [0, 0, 0]
     patterns = [p for p in corpus_patterns() if p.edge_count()]
-    for n in range(1, 10):
+    for n in lengths:
         for s in enumerate_graphic_sequences(n):
             terms = s.terms
             graph = None
@@ -144,10 +145,52 @@ def test_full_search_pinned_on_every_pair_that_reaches_it():
                     digest.update(repr((terms, list(emb.items()), real.graph.edges())).encode())
                     witnessed += 1
                 else:
-                    digest.update(repr((terms, tuple(found))).encode())
+                    digest.update(repr((terms, found.rule)).encode())
                     refuted += 1
+                    work = [w + c for w, c in zip(work, found[1:])]
+    return witnessed, refuted, digest.hexdigest(), tuple(work)
+
+
+def test_full_search_pinned_on_every_pair_that_reaches_it():
+    # every pair with n <= 9. The witness digest was written before the
+    # search began to skip the copies that a swap of two equal-term slots
+    # turns into an earlier one, and holds unchanged since. The counters are
+    # those of the skipping search: (4324, 21216, 19224) before it.
+    witnessed, refuted, digest, work = _full_search_digest(range(1, 10))
     assert (witnessed, refuted) == (1698, 451)
-    assert digest.hexdigest() == "673170589d775b37d0c23896938a065530c028a9c7b5ebc8eedeb8451d001cd3"
+    assert digest == "e5d861a87fe68295420e087a99ca1f6ba15d716c77e88e3dbcb64f9d44fa08b0"
+    assert work == (4324, 2218, 1753)
+
+
+def test_full_search_pinned_at_n10():
+    # as above at n = 10, the length of the benchmark's widest pairs; the
+    # counters were (6113, 28628, 27254) before the swap skip
+    witnessed, refuted, digest, work = _full_search_digest([10])
+    assert (witnessed, refuted) == (2071, 322)
+    assert digest == "86de6168cc09cbdc5f0ea7934d3fe21fee6d7f0fb26e1b2c4d9f9d50a1ebc509"
+    assert work == (6113, 2402, 2096)
+
+
+def test_distinct_copies_swap_masks_by_brute_force():
+    # on every corpus pattern and one-vertex-deleted class: the copies are
+    # one per edge set in first-permutation order, each carries its slot
+    # degrees, and bit a of its swap mask is set exactly when swapping
+    # slots a and a+1 gives a copy earlier in the list
+    for h in corpus_patterns():
+        k = h.k
+        first = {}
+        for perm in permutations(range(k)):
+            first.setdefault(frozenset(tuple(sorted((perm[u], perm[v]))) for u, v in h.edges()), perm)
+        copies = oracle._distinct_copies(h)
+        assert [(tuple(sorted(e)), p) for e, p in first.items()] == [(e, p) for e, p, _, _ in copies]
+        order = {frozenset(e): i for i, (e, _, _, _) in enumerate(copies)}
+        for i, (edges, vmap, degrees, swaps) in enumerate(copies):
+            assert sorted(tuple(sorted((vmap[u], vmap[v]))) for u, v in h.edges()) == list(edges)
+            assert degrees == tuple(sum(x in e for e in edges) for x in range(k))
+            for a in range(k - 1):
+                relabel = {a: a + 1, a + 1: a}
+                image = frozenset(tuple(sorted(relabel.get(x, x) for x in e)) for e in edges)
+                assert bool(swaps >> a & 1) == (order[image] < i), (h.edges(), i, a)
 
 
 # --- potentially ------------------------------------------------------------
@@ -184,7 +227,7 @@ def test_potentially_certificate_is_checkable():
 
 def test_exhausted_names_its_rule_and_is_the_same_on_a_repeat_call():
     cases = [
-        ("7,6,3,3,2,2,2,1", cycle_graph(6), "dominating_head", (8, 60, 6)),
+        ("7,6,3,3,2,2,2,1", cycle_graph(6), "dominating_head", (8, 16, 2)),
         ("4,4,1^6", complete_graph(3), "degree", (0, 0, 0)),
     ]
     for text, h, rule, (subsets, patterns, residual_calls) in cases:
