@@ -171,8 +171,6 @@ def cmd_build(args) -> int:
             args.json,
             [ts.seq.to_text() for ts in fam],
         )
-    else:
-        raise UsageError(f"unknown build kind {kind!r}")
     return EXIT_OK
 
 

@@ -167,10 +167,6 @@ def rho(h: SmallGraph, n: int) -> ExtremalWitness:
         + [k - alpha - 1] * (n - k + alpha)
     )
     seq = DegreeSequence(terms)
-    # the two middle terms absorb parity; the sum is even by construction,
-    # but verify rather than assume
-    if seq.sum() % 2:
-        raise AssertionError(f"witness sequence sum {seq.sum()} is odd")
     if not is_graphic(seq):
         raise AssertionError(f"witness sequence {seq.to_text()} not graphic")
     return ExtremalWitness(

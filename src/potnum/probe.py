@@ -32,7 +32,7 @@ from .oracle import (
     potentially,
 )
 from .potential import PotentialProfile, profile, target_sequence
-from .sequences import DegreeSequence, degree_sufficient, is_graphic, l1_distance, layoff, layoff_batch_below
+from .sequences import DegreeSequence, degree_sufficient, is_graphic, l1_distance, layoff_batch_below
 
 FOUND_H = "found_h"
 FOUND_SPLIT = "found_split"
@@ -341,11 +341,10 @@ def _iterate(
         if cur.n > cap_n:
             raise CapExceededError(f"step 2 realization of length {cur.n} exceeds cap {cap_n}")
         adj = canonical_realization(cur).graph.adj
-        keep = adj[0] | 1
-        # the degrees of the graph induced on the kept vertices
-        hat = DegreeSequence([(adj[v] & keep).bit_count() for v in range(cur.n) if keep >> v & 1])
-        # step 3: lay off the dominating vertex (the maximum term)
-        check = layoff(hat, 1)
+        # step 3: lay off the top vertex, which dominates what step 2 kept;
+        # what is left is the graph induced on its neighbors
+        nbrs = adj[0]
+        check = DegreeSequence([(adj[v] & nbrs).bit_count() for v in range(cur.n) if nbrs >> v & 1])
         # step 4: lay off minima until the floor holds; the threshold's
         # ceil((nabla - 1 - (t + 1) delta) / 2) is a floor division by 2 dq
         threshold = k - i_star - (((t + 1) * dp - (nab - 1) * dq) // (2 * dq)) - (t + 1)
@@ -356,7 +355,7 @@ def _iterate(
         # of declaring unsoundly
         guard = dq > k * dp and j4 * (dq - k * dp) >= (t + 3) * dp * cur.n
         passes.append(IterationRecord(
-            *head, removed_nonneighbors=cur.n - hat.n, step3_laid_off=1,
+            *head, removed_nonneighbors=cur.n - 1 - check.n, step3_laid_off=1,
             step4_laid_off=j4, step4_threshold=threshold,
             halting_reason=REASON_STEP4_GUARD if guard else None,
         ))
@@ -391,9 +390,10 @@ def _iterate(
         outcome = "covers the graph" if kind == FOUND_H else "yields the split graph"
         return (kind, graph, f"iteration limit: clique join-back {outcome}"), reached
 
-    # halted with ell < k - alpha - b_h and small maximum degree
+    # halted with ell < k - alpha - b_h, so floor_needed >= 1, and small
+    # maximum degree
     min_term = cur.terms[-1] if cur.n else 0
-    if cur.n == 0 or (floor_needed > 0 and min_term < floor_needed):
+    if min_term < floor_needed:
         return ProbeVerdict(
             kind=INCONCLUSIVE,
             reason=(
@@ -402,10 +402,14 @@ def _iterate(
             ),
         ), reached
 
-    # the degrees of the split graph K_r v Kbar_s, r = floor_needed >= 1 here;
-    # a remainder with fewer terms than the split graph is not sufficient for it
-    r, s = floor_needed, alpha + b_h
-    if r + s <= cur.n and degree_sufficient(cur, DegreeSequence([r + s - 1] * r + [r] * s)):
+    # p = the number of terms at least k - ell - 1. The remainder is
+    # degree-sufficient for the split graph K_r v Kbar_s, r = floor_needed
+    # and s = alpha + b_h, exactly when p >= r: its degrees are
+    # (r + s - 1)^r, r^s with r + s - 1 = k - ell - 1, every term is at
+    # least r, and a term of r + s - 1 in a graphic remainder forces r + s
+    # terms.
+    p = sum(d >= k - ell - 1 for d in cur.terms)
+    if p >= floor_needed:
         # bounded-max-degree hypotheses hold: d1 < n_ell - f by the halt,
         # minimum term at least the split's minimum degree checked above
         final["branch"] = "bounded_max_degree"
@@ -413,23 +417,12 @@ def _iterate(
             *_join_back(h, prof),
             "degree-sufficient for the split remainder under a small maximum degree",
         ), reached
-
-    # p = the number of terms at least k - ell - 1 (the terms are nonincreasing)
-    p = sum(d >= k - ell - 1 for d in cur.terms)
     final["p"] = p
-    if p >= floor_needed:
-        return ProbeVerdict(
-            kind=INCONCLUSIVE,
-            reason=(
-                f"p = {p} not below k - ell - alpha - b = {floor_needed}; "
-                "halt analysis inapplicable"
-            ),
-        ), reached
     idx = k - ell - p
-    f_graph, f_vertices = _pick_min_maxdeg_subgraph(h, prof, idx)
+    f_vertices, f_degrees = _pick_min_maxdeg_subgraph(h, prof, idx)
     final["fSubgraphVertices"] = f_vertices
     # the degrees of K_p v F, which a shorter remainder cannot dominate
-    host = [p + idx - 1] * p + [d + p for d in f_graph.degrees()]
+    host = [p + idx - 1] * p + [d + p for d in f_degrees]
     if len(host) <= cur.n and degree_sufficient(cur, DegreeSequence(host)):
         final["branch"] = "clique_plus_subgraph"
         return (FOUND_H, h, "degree-sufficient for a clique joined onto an induced subgraph"), reached
@@ -461,9 +454,10 @@ def _join_back(h: SmallGraph, prof: PotentialProfile) -> tuple[str, SmallGraph]:
     return FOUND_SPLIT, complete_split(prof.k - prof.alpha - 1, prof.alpha + 1)
 
 
-def _pick_min_maxdeg_subgraph(h: SmallGraph, prof: PotentialProfile, j: int) -> tuple[SmallGraph, tuple[int, ...]]:
-    """Order-j induced subgraph attaining the minimum maximum degree
-    nabla_j of the profile ``prof`` of h.
+def _pick_min_maxdeg_subgraph(h: SmallGraph, prof: PotentialProfile, j: int) -> tuple[tuple[int, ...], list[int]]:
+    """The vertices of an order-j induced subgraph of h attaining the
+    minimum maximum degree nabla_j of its profile ``prof``, and their
+    degrees in that subgraph.
 
     Prefers a subset containing a maximum independent set of h, then the
     lexicographically first attaining subset.
@@ -473,12 +467,12 @@ def _pick_min_maxdeg_subgraph(h: SmallGraph, prof: PotentialProfile, j: int) -> 
     chosen = None
     for subset in combinations(range(h.k), j):
         mask = sum(1 << v for v in subset)
-        if max((h.adj[v] & mask).bit_count() for v in subset) != target:
+        degrees = [(h.adj[v] & mask).bit_count() for v in subset]
+        if max(degrees) != target:
             continue
         if any(not s & ~mask for s in max_sets):
-            chosen = subset
-            break
+            return subset, degrees
         if chosen is None:
-            chosen = subset
+            chosen = subset, degrees
     assert chosen is not None
-    return h.induced(chosen), chosen
+    return chosen

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -184,6 +185,22 @@ def test_exit_code_parse_error(capsys, tmp_path):
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1 and err.startswith("error:"), argv
+    # a build with the wrong argument count or an unknown kind, a witness
+    # with k - alpha - 2 < 0, a zero cutoff and an exponent past the bound
+    for argv, message in (
+        (("build", "K 3", "pi_tilde", "2"), "usage error: pi_tilde needs two arguments: i n"),
+        (("build", "K 3", "pi_tilde", "2", "8", "9"), "usage error: pi_tilde needs two arguments: i n"),
+        (("build", "K 3", "rho"), "usage error: rho needs one argument: n"),
+        (("build", "K 3", "rho", "8", "9"), "usage error: rho needs one argument: n"),
+        (("build", "K 3", "family"), "usage error: family needs one argument: n"),
+        (("build", "K 3", "family", "8", "9"), "usage error: family needs one argument: n"),
+        (("build", "K 3", "foo", "1"), "usage error: argument kind: invalid choice: 'foo'"),
+        (("build", "union(K 2, Kbar 3)", "rho", "10"), "error: k - alpha - 2 = -1 is negative"),
+        (("probe", "9,3^9", "split 2 3", "--f-override", "0"), "error: step-1 cutoff must be positive, got 0"),
+        (("probe", "9,3^9", "split 2 3", "--epsilon", "1e2000"), "error: exponent in '1e2000' exceeds 1000"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and err.startswith(message), (argv, err)
     # Fraction accepts these, but Python refuses to print an integer of
     # more than 4,300 digits; the message names potnum's own bound instead
     for flag in ("--epsilon", "--delta"):
@@ -264,6 +281,19 @@ def test_all_json_outputs_are_valid_json(capsys):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0, argv
         json.loads(out)
+
+
+def test_module_entry_point_exits_with_the_code_main_returns():
+    # ``python -m potnum.cli`` hands main's return value to sys.exit
+    env = {**os.environ, "PYTHONPATH": str(Path(potnum.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "potnum.cli", "check", "3,3", "K 2"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (1, "", "error: sequence 3,3 is not graphic\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "potnum.cli", "dist", "7,1^7", "4,4,1^6"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.returncode == 0 and run.stdout and not run.stderr
 
 
 def test_cold_start_skips_unused_stdlib_modules():

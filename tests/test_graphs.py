@@ -332,6 +332,18 @@ def test_graph_file_errors():
         parse_graph_file("n 2\ne 1 3\n")
     with pytest.raises(ValueError):
         parse_graph_file("n 2\nq 1 2\n")
+    for text, message in (
+        ("n 3\nn 3\n", "line 2: duplicate vertex-count line"),
+        ("n 3 4\n", "line 1: expected 'n <k>'"),
+        ("n 3\ne 1\n", "line 2: expected 'e <u> <v>'"),
+        ("# no vertex count\n\n", "missing 'n <k>' line"),
+    ):
+        with pytest.raises(ValueError) as info:
+            parse_graph_file(text)
+        assert str(info.value) == message, text
+    # blank lines and comment lines are ignored, indented or not
+    triangle = parse_graph_file("# a triangle\n\nn 3\n  # its edges\ne 1 2\n\ne 2 3\ne 1 3\n")
+    assert (triangle.k, triangle.edges()) == (3, [(0, 1), (0, 2), (1, 2)])
     # the order bound of graph input, checked before the graph is built
     for k in ("17", "9" + "0" * 20):
         with pytest.raises(CapExceededError):

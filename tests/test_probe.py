@@ -26,7 +26,7 @@ from potnum.probe import (
     delta_bound,
     run_probe,
 )
-from potnum.sequences import DegreeSequence, parse_sequence
+from potnum.sequences import DegreeSequence, degree_sufficient, parse_sequence
 
 
 def seq(text):
@@ -294,6 +294,22 @@ def test_a_short_remainder_is_not_degree_sufficient(graph, sequence, f):
         verdict, trace = run_probe(seq(sequence), graph_from_text(graph), ProbeConfig(f_override=f, oracle_fallback=oracle))
         assert verdict.kind == INCONCLUSIVE and "outside the target family" in verdict.reason
         assert trace.final["branch"] == "near_target"
+
+
+def test_split_sufficiency_is_a_count_of_large_terms():
+    # the halt analysis's lemma: on a graphic remainder whose terms are all
+    # at least r >= 1, degree-sufficiency for the split graph K_r v Kbar_s,
+    # (r + s - 1)^r, r^s, holds exactly when r terms are at least r + s - 1
+    outcomes = set()
+    for n in range(1, 10):
+        for remainder in enumerate_graphic_sequences(n):
+            for r in range(1, remainder.terms[-1] + 1):
+                for s in range(1, n + 2):
+                    split = DegreeSequence([r + s - 1] * r + [r] * s)
+                    by_count = sum(d >= r + s - 1 for d in remainder.terms) >= r
+                    assert by_count == (r + s <= n and degree_sufficient(remainder, split)), (remainder, r, s)
+                    outcomes.add(by_count)
+    assert outcomes == {True, False}
 
 
 # --- every verdict path, pinned ----------------------------------------------------

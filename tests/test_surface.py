@@ -19,6 +19,7 @@ AUDITED = {
     "potnum.graphs.SmallGraph.degree_sequence": "the benchmark's set-up decides each graph's own degree sequence",
     "potnum.probe.ProbeTrace.removals_accounting": "acceptance criterion 9 checks the removal bookkeeping with it",
     "potnum.potential.best_deleted_subgraph": "acceptance criterion 8, a by-design failure, reads its coefficient",
+    "potnum.sequences.layoff": "the Kleitman–Wang reference that criterion 5 and the batch lay-off test compare against",
 }
 
 
