@@ -75,6 +75,28 @@ def test_analyze_at_the_input_bound(capsys, expr, want):
     assert (verdict["status"], verdict["theorem"], verdict["coverB1B2"]) == want
 
 
+def test_analyze_json_on_every_atlas_graph_is_pinned(tmp_path, capsys):
+    # one digest of `analyze --json` on each of the 1,245 graphs of
+    # networkx's atlas (every graph on at most 7 vertices) that has an
+    # edge, read from a graph file: it pins every profile, cover, note and
+    # target pattern byte for byte
+    from networkx import graph_atlas_g
+
+    path = tmp_path / "h.txt"
+    digest, count = hashlib.sha256(), 0
+    for g in graph_atlas_g():
+        if not g.number_of_edges():
+            continue
+        lines = [f"n {g.number_of_nodes()}"] + [f"e {u + 1} {v + 1}" for u, v in g.edges()]
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "analyze", str(path), "--json")
+        assert (code, err) == (0, ""), lines
+        digest.update(out.encode())
+        count += 1
+    assert count == 1245
+    assert digest.hexdigest() == "d90dce889ee206d9d4b92b89acd74c759e82033b99150b474dcbe942f4daae24"
+
+
 def test_build_pi_tilde(capsys):
     code, out, _ = run_cli(capsys, "build", "K 3", "pi_tilde", "2", "8")
     assert code == 0
