@@ -20,7 +20,7 @@ from fractions import Fraction
 from .generators import graph_from_text
 from .graphs import SmallGraph, parse_graph_file
 from .oracle import DEFAULT_CAP_N, CapExceededError, potentially, sigma_exact
-from .potential import profile, rho, target_family, target_sequence
+from .potential import profile, rho, target_family, target_pattern_text, target_sequence
 from .probe import ProbeConfig, run_probe
 from .sequences import MAX_DIGITS, MAX_INT_ARG, _check_digits, l1_distance, parse_sequence
 from .stability import classify_sigma, classify_weak
@@ -90,19 +90,13 @@ def _emit(payload, as_json: bool, human_lines: list[str]) -> None:
             print(line)
 
 
-def _target_pattern(h: SmallGraph, i: int) -> str:
-    prof = profile(h)
-    value = prof.k - i + prof.nabla_table[i] - 1
-    return f"(n-1)^{prof.k - i},{value}^(n-{prof.k - i})"
-
-
 def cmd_analyze(args) -> int:
     h = _load_graph(args.graph)
     prof = profile(h)
     sigma_verdict = classify_sigma(h)
     weak_verdict = classify_weak(h)
     patterns = [
-        {"i": i, "pattern": _target_pattern(h, i)}
+        {"i": i, "pattern": target_pattern_text(h, i)}
         for i in sorted(prof.sigma_tilde_i)
         if prof.sigma_tilde_i[i] == prof.sigma_tilde
     ]

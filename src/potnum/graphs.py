@@ -188,21 +188,38 @@ def complement(g: SmallGraph) -> SmallGraph:
 
 
 def independence_number(g: SmallGraph) -> int:
-    """Exact maximum independent set size by branch and bound."""
-    return _grow(g.adj, (1 << g.k) - 1, 0, 0)
+    """Exact maximum independent set size: that of the first maximum set."""
+    return _max_independent_sets(g)[0].bit_count()
 
 
-def _grow(adj: Sequence[int], avail: int, size: int, best: int) -> int:
-    """The larger of ``best`` and the largest independent set that adds
-    vertices of ``avail`` to ``size`` already chosen."""
-    if size + avail.bit_count() <= best:
-        return best
+def _max_independent_sets(g: SmallGraph) -> list[int]:
+    """Masks of the maximum independent sets of g, in the lexicographic
+    order of their sorted vertex tuples."""
+    found: list[int] = []
+    _extend(g.adj, 0, (1 << g.k) - 1, found)
+    return found
+
+
+def _extend(adj: Sequence[int], chosen: int, avail: int, found: list[int]) -> None:
+    """Update ``found``, the largest independent sets met so far, with
+    those that extend ``chosen`` by vertices of ``avail``: a larger one
+    replaces them, one of their size joins them. ``avail`` lies above the
+    vertices of ``chosen`` and off their neighbours."""
+    size = chosen.bit_count()
     if not avail:
-        return size
-    # branch on a vertex of maximum degree within the candidate set
-    v = max(_bits(avail), key=lambda u: (adj[u] & avail).bit_count())
-    best = _grow(adj, avail & ~(adj[v] | (1 << v)), size + 1, best)
-    return _grow(adj, avail & ~(1 << v), size, best)
+        best = found[0].bit_count() if found else -1
+        if size > best:
+            found.clear()
+        if size >= best:
+            found.append(chosen)
+        return
+    # each pick is the lowest vertex left, so the sets come in lexicographic
+    # order; a set that skips a vertex it could hold follows the larger set
+    # holding it, so only maximum sets stay
+    while avail and size + avail.bit_count() >= (found[0].bit_count() if found else 0):
+        low = avail & -avail
+        avail ^= low
+        _extend(adj, chosen | low, avail & ~adj[low.bit_length() - 1], found)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -210,6 +227,16 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _induced_degrees(h: SmallGraph, i: int) -> Iterator[tuple[int, list[int]]]:
+    """Each order-i vertex subset of h as a mask, in the lexicographic
+    order of its sorted vertex tuple, with the degrees of its vertices,
+    in that order, in the subgraph it induces."""
+    bits = [1 << v for v in range(h.k)]
+    for subset, adjs in zip(combinations(bits, i), combinations(h.adj, i)):
+        mask = sum(subset)
+        yield mask, [(a & mask).bit_count() for a in adjs]
 
 
 def _min_induced_max_degree(h: SmallGraph, i: int) -> int:
@@ -220,11 +247,8 @@ def _min_induced_max_degree(h: SmallGraph, i: int) -> int:
     set would force the value to 0. The caller keeps i in that range.
     """
     best = h.k
-    for subset in combinations(range(h.k), i):
-        mask = 0
-        for v in subset:
-            mask |= 1 << v
-        delta = max((h.adj[v] & mask).bit_count() for v in subset)
+    for _, degrees in _induced_degrees(h, i):
+        delta = max(degrees)
         if delta < best:
             best = delta
             if best == 1:
@@ -245,25 +269,6 @@ def deleted_family(h: SmallGraph, t: int) -> Iterator[tuple[SmallGraph, tuple[in
         if not any(is_isomorphic(sub, other) for other in seen):
             seen.append(sub)
             yield sub, deleted
-
-
-def _independent_sets(g: SmallGraph, size: int) -> list[int]:
-    """Masks of the independent sets of ``size`` vertices of g, in the
-    lexicographic order of their sorted vertex tuples."""
-    found = []
-
-    def grow(mask: int, avail: int, need: int) -> None:
-        if not need:
-            found.append(mask)
-            return
-        # each pick is the lowest vertex left, so later picks lie above it
-        while avail.bit_count() >= need:
-            low = avail & -avail
-            avail ^= low
-            grow(mask | low, avail & ~g.adj[low.bit_length() - 1], need - 1)
-
-    grow(0, (1 << g.k) - 1, size)
-    return found
 
 
 # ---------------------------------------------------------------------------

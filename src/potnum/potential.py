@@ -121,7 +121,7 @@ def target_sequence(h: SmallGraph, i: int, n: int) -> TargetSequence:
     if not prof.alpha + 1 <= i <= k:
         raise ValueError(f"index {i} outside valid range {prof.alpha + 1}..{k}")
     nab = prof.nabla_table[i]
-    tail_value = k - i + nab - 1
+    tail_value = _tail_value(prof, i)
     tail_count = n - k + i
     if tail_count < 1:
         raise ValueError(f"length {n} too small for index {i} (empty tail)")
@@ -192,6 +192,18 @@ def rho_pattern_text(h: SmallGraph) -> str:
         f"(n-1)^{k - a - 2}, ceil((n+{k - a - 2})/2), floor((n+{k - a - 2})/2), "
         f"{k - a - 1}^(n-{k - a})"
     )
+
+
+def target_pattern_text(h: SmallGraph, i: int) -> str:
+    """Symbolic description of the order-i target sequence as a function
+    of n."""
+    prof = profile(h)
+    return f"(n-1)^{prof.k - i},{_tail_value(prof, i)}^(n-{prof.k - i})"
+
+
+def _tail_value(prof: PotentialProfile, i: int) -> int:
+    """The repeated term k - i + nabla_i - 1 of the order-i target."""
+    return prof.k - i + prof.nabla_table[i] - 1
 
 
 def asymptotic_degree_sufficient_rho(h: SmallGraph) -> bool:

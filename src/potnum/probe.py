@@ -22,10 +22,9 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from types import MappingProxyType
 
-from .graphs import CapExceededError, SmallGraph, _independent_sets, complete_split
+from .graphs import CapExceededError, SmallGraph, _bits, _induced_degrees, _max_independent_sets, complete_split
 from .oracle import (
     DEFAULT_CAP_N,
     canonical_realization,
@@ -463,16 +462,16 @@ def _pick_min_maxdeg_subgraph(h: SmallGraph, prof: PotentialProfile, j: int) -> 
     lexicographically first attaining subset.
     """
     target = prof.nabla_table[j]
-    max_sets = _independent_sets(h, prof.alpha)
+    max_sets = _max_independent_sets(h)
     chosen = None
-    for subset in combinations(range(h.k), j):
-        mask = sum(1 << v for v in subset)
-        degrees = [(h.adj[v] & mask).bit_count() for v in subset]
+    for mask, degrees in _induced_degrees(h, j):
         if max(degrees) != target:
             continue
         if any(not s & ~mask for s in max_sets):
-            return subset, degrees
+            chosen = mask, degrees
+            break
         if chosen is None:
-            chosen = subset, degrees
+            chosen = mask, degrees
     assert chosen is not None
-    return chosen
+    mask, degrees = chosen
+    return tuple(_bits(mask)), degrees

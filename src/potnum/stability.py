@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
-from .graphs import SmallGraph, _independent_sets
+from .graphs import SmallGraph, _max_independent_sets
 from .potential import asymptotic_degree_sufficient_rho, profile, rho_pattern_text
 
 STABLE = "Stable"
@@ -86,7 +86,7 @@ def double_star_cover(h: SmallGraph) -> tuple[int, int] | None:
             f"cover host undefined: k - alpha - 2 = {k - alpha - 2}"
         )
     best = None
-    for leaves in _independent_sets(h, alpha):
+    for leaves in _max_independent_sets(h):
         outside = [v for v in range(k) if not (leaves >> v) & 1]
         for c1, c2 in combinations(outside, 2):
             n1, n2 = h.adj[c1] & leaves, h.adj[c2] & leaves
@@ -125,7 +125,7 @@ def classify_sigma(h: SmallGraph) -> StabilityVerdict:
             status=NOT_STABLE, theorem="NotStable", cover=None, graph=h,
             note="Type 2 and no clique-plus-double-star host covers the graph",
         )
-    if any((a & i).bit_count() == 1 for i in _independent_sets(h, prof.alpha) for a in h.adj):
+    if any((a & i).bit_count() == 1 for i in _max_independent_sets(h) for a in h.adj):
         return StabilityVerdict(
             status=STABLE, theorem="MainHigh", cover=cover, graph=h,
             note="Type 2, covered, and some (alpha+1)-set induces exactly one edge",

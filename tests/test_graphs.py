@@ -11,13 +11,14 @@ from potnum.graphs import (
     CapExceededError,
     SmallGraph,
     _embedding_plan,
-    _independent_sets,
+    _max_independent_sets,
     complement,
     complete_bipartite,
     complete_graph,
     complete_split,
     cycle_graph,
     deleted_family,
+    disjoint_union,
     empty_graph,
     double_star,
     find_embedding,
@@ -29,6 +30,9 @@ from potnum.graphs import (
     path_graph,
 )
 from potnum.potential import profile
+from potnum.probe import ProbeConfig, run_probe
+from potnum.sequences import parse_sequence
+from potnum.stability import classify_sigma
 
 
 def _random_graph(rng, k, p=0.5):
@@ -86,32 +90,42 @@ def test_independence_of_split_graphs():
             assert independence_number(complete_split(r, t)) == t
 
 
-def test_independence_matches_subset_enumeration():
-    rng = random.Random(31)
-    for _ in range(40):
-        g = _random_graph(rng, rng.randrange(1, 9))
-        best = 0
-        for size in range(g.k, 0, -1):
-            if any(
-                all(not g.has_edge(a, b) for a, b in combinations(sub, 2))
-                for sub in combinations(range(g.k), size)
-            ):
-                best = size
-                break
-        assert independence_number(g) == best
+def test_maximum_independent_sets_match_enumeration_and_complement_cliques():
+    # alpha and the ordered maximum sets against subset enumeration on
+    # random graphs, then against the maximum cliques of the complement,
+    # found by networkx, on the atlas and on named graphs near the bound
+    from networkx import Graph, complement as nx_complement, find_cliques, graph_atlas_g
 
+    for seed in (31, 32):
+        rng = random.Random(seed)
+        for _ in range(40):
+            g = _random_graph(rng, rng.randrange(1, 9))
+            for size in range(g.k, -1, -1):
+                want = [
+                    sum(1 << v for v in sub)
+                    for sub in combinations(range(g.k), size)
+                    if all(not g.has_edge(a, b) for a, b in combinations(sub, 2))
+                ]
+                if want:
+                    break
+            assert independence_number(g) == size
+            assert _max_independent_sets(g) == want
 
-def test_independent_sets_match_subset_enumeration():
-    rng = random.Random(32)
-    for _ in range(40):
-        g = _random_graph(rng, rng.randrange(1, 9))
-        for size in range(g.k + 1):
-            want = [
-                sum(1 << v for v in sub)
-                for sub in combinations(range(g.k), size)
-                if all(not g.has_edge(a, b) for a, b in combinations(sub, 2))
-            ]
-            assert _independent_sets(g, size) == want
+    five_triangles = complete_graph(1)  # 5K3 + K1, with 3^5 maximum sets
+    for _ in range(5):
+        five_triangles = disjoint_union(complete_graph(3), five_triangles)
+    named = [path_graph(16), cycle_graph(15), friendship_graph(7), five_triangles]
+    atlas = [SmallGraph(g.number_of_nodes(), g.edges()) for g in graph_atlas_g()[1:]]
+    for h in atlas + named:
+        g = Graph()
+        g.add_nodes_from(range(h.k))
+        g.add_edges_from(h.edges())
+        cliques = [sorted(c) for c in find_cliques(nx_complement(g))]
+        alpha = max(map(len, cliques))
+        want = [sum(1 << v for v in c) for c in sorted(c for c in cliques if len(c) == alpha)]
+        assert independence_number(h) == alpha
+        assert _max_independent_sets(h) == want, h
+    assert len(_max_independent_sets(five_triangles)) == 3**5
 
 
 # --- minimum induced maximum degree ------------------------------------------
@@ -257,12 +271,19 @@ def test_find_embedding_is_the_first_in_plan_order():
 
 
 def test_find_embedding_leaves_no_cyclic_garbage():
-    # the embedding search, the independent-set search and the expression
-    # parser are module functions, so none of them makes work for the cycle
-    # collector, even when the parser raises
+    # module functions and no closures, so none of these makes work for
+    # the cycle collector: the embedding search, found and not found; the
+    # maximum-independent-set search, through independence_number; the
+    # stability verdict of C7, whose cover and one-edge test read that
+    # search; the probe's close_to_target path, whose picker reads it and
+    # the induced-subset walk; and the expression parser, also when it
+    # raises
+    probe_args = parse_sequence("7,3^3,2^4"), graph_from_text("Kbip 2 3"), ProbeConfig(f_override=3)
     assert find_embedding(cycle_graph(5), complete_graph(7)) is not None
     assert find_embedding(complete_graph(4), cycle_graph(7)) is None
     assert independence_number(cycle_graph(7)) == 3
+    assert classify_sigma(cycle_graph(7)).cover == (2, 1)
+    assert run_probe(*probe_args)[0].kind == "close_to_target"
     assert graph_from_text("join(K 2, complement(C 5))").k == 7
     with pytest.raises(ExprError):
         graph_from_text("join(K 2, C)")
@@ -273,6 +294,8 @@ def test_find_embedding_leaves_no_cyclic_garbage():
             find_embedding(cycle_graph(5), complete_graph(7))
             find_embedding(complete_graph(4), cycle_graph(7))
             independence_number(cycle_graph(7))
+            classify_sigma(cycle_graph(7))
+            run_probe(*probe_args)
             graph_from_text("join(K 2, complement(C 5))")
             try:
                 graph_from_text("join(K 2, C)")

@@ -88,14 +88,14 @@ def test_profile_mappings_are_read_only():
 
 
 def test_profile_computes_alpha_once(monkeypatch):
-    original, calls = potnum.graphs.independence_number, []
+    # one maximum-independent-set search, which alpha is read from
+    original, calls = potnum.graphs._max_independent_sets, []
 
     def counted(g):
         calls.append(g)
         return original(g)
 
-    monkeypatch.setattr(potnum.graphs, "independence_number", counted)
-    monkeypatch.setattr(potnum.potential, "independence_number", counted)
+    monkeypatch.setattr(potnum.graphs, "_max_independent_sets", counted)
     profile.__wrapped__(cycle_graph(6))
     assert len(calls) == 1
 
