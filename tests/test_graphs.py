@@ -90,26 +90,44 @@ def test_independence_of_split_graphs():
             assert independence_number(complete_split(r, t)) == t
 
 
-def test_maximum_independent_sets_match_enumeration_and_complement_cliques():
-    # alpha and the ordered maximum sets against subset enumeration on
-    # random graphs, then against the maximum cliques of the complement,
-    # found by networkx, on the atlas and on named graphs near the bound
-    from networkx import Graph, complement as nx_complement, find_cliques, graph_atlas_g
+def test_independence_matches_subset_enumeration():
+    rng = random.Random(31)
+    for _ in range(40):
+        g = _random_graph(rng, rng.randrange(1, 9))
+        best = 0
+        for size in range(g.k, 0, -1):
+            if any(
+                all(not g.has_edge(a, b) for a, b in combinations(sub, 2))
+                for sub in combinations(range(g.k), size)
+            ):
+                best = size
+                break
+        assert independence_number(g) == best
 
-    for seed in (31, 32):
-        rng = random.Random(seed)
-        for _ in range(40):
-            g = _random_graph(rng, rng.randrange(1, 9))
-            for size in range(g.k, -1, -1):
-                want = [
-                    sum(1 << v for v in sub)
-                    for sub in combinations(range(g.k), size)
-                    if all(not g.has_edge(a, b) for a, b in combinations(sub, 2))
-                ]
-                if want:
-                    break
-            assert independence_number(g) == size
-            assert _max_independent_sets(g) == want
+
+def test_independent_sets_match_subset_enumeration():
+    # the maximum independent sets, in lexicographic order, are the
+    # independent subsets of the largest size that has any
+    rng = random.Random(32)
+    for _ in range(40):
+        g = _random_graph(rng, rng.randrange(1, 9))
+        for size in range(g.k, -1, -1):
+            want = [
+                sum(1 << v for v in sub)
+                for sub in combinations(range(g.k), size)
+                if all(not g.has_edge(a, b) for a, b in combinations(sub, 2))
+            ]
+            if want:
+                break
+        assert independence_number(g) == size
+        assert _max_independent_sets(g) == want
+
+
+def test_maximum_independent_sets_match_complement_cliques():
+    # alpha and the ordered maximum sets against the maximum cliques of
+    # the complement, found by networkx, on the atlas and on named graphs
+    # near the bound
+    from networkx import Graph, complement as nx_complement, find_cliques, graph_atlas_g
 
     five_triangles = complete_graph(1)  # 5K3 + K1, with 3^5 maximum sets
     for _ in range(5):
