@@ -49,6 +49,13 @@ in order:
   prefix of each run of equal degree) and each pivot's partner sets (a
   prefix of each class of interchangeable partners).
 
+The enumerator's leaves and the tuples that the recursion passes down
+are canonical already (nonincreasing and nonnegative), so each is
+wrapped in a ``DegreeSequence`` once, by ``sequences._canonical``,
+without the constructor's sort. The canonical realization starts from
+that order and, once every remaining demand is 0 or 1, pairs the
+vertices of demand 1 in index order, as its remaining pivots would.
+
 A true answer comes back as a witness builder, a callable that produces
 the embedding and the realization only when a certificate is wanted. A
 false answer comes back as a falsy ``Refutation`` that names the rule
@@ -73,7 +80,7 @@ from .graphs import (
     find_embedding,
     independence_number,
 )
-from .sequences import DegreeSequence, _graphic_desc, is_graphic
+from .sequences import DegreeSequence, _canonical, _graphic_desc, is_graphic
 
 DEFAULT_CAP_N = 10
 DEFAULT_CAP_K = 8
@@ -137,11 +144,15 @@ def canonical_realization(seq: DegreeSequence) -> Realization:
     """Havel–Hakimi construction: each pivot of maximum remaining demand
     connects to the next-highest demands; ties break toward lower index.
 
-    Each step is one stable sort of the vertices by remaining demand,
-    highest first, which orders them by (-demand, index): the pivot is
-    the first vertex and its targets the next d of them. Vertex 0 ends up
-    adjacent to vertices 1..d1, so the maximum-degree vertex is adjacent
-    to the d1 highest-degree others.
+    The vertices are kept in (-demand, index) order: the pivot is the
+    first vertex and its targets the next d of them. A canonical sequence
+    is in that order already, so the first step sorts nothing; each later
+    step is one stable sort by remaining demand, highest first. Vertex 0
+    ends up adjacent to vertices 1..d1, so the maximum-degree vertex is
+    adjacent to the d1 highest-degree others. Once every remaining demand
+    is 0 or 1, the pivots left would each take the next vertex of demand
+    1 in index order, so those vertices are paired off in that order
+    without sorting; an odd count of them runs out of targets.
 
     The adjacency masks are built in the loop and not checked edge by
     edge: a pivot's targets are other vertices of positive demand, and its
@@ -153,12 +164,10 @@ def canonical_realization(seq: DegreeSequence) -> Realization:
     n = seq.n
     rem = list(seq.terms)
     adj = [0] * n
-    for _ in range(n):  # each step zeroes the pivot's demand
-        order = sorted(range(n), key=rem.__getitem__, reverse=True)
+    order = range(n)
+    while n and rem[order[0]] > 1:  # each step zeroes the pivot's demand
         u = order[0]
         du = rem[u]
-        if du == 0:
-            break
         if du >= n or rem[order[du]] == 0:
             raise AssertionError("Havel–Hakimi ran out of targets on graphic input")
         for v in order[1:du + 1]:
@@ -166,6 +175,13 @@ def canonical_realization(seq: DegreeSequence) -> Realization:
             adj[v] |= 1 << u
             rem[v] -= 1
         rem[u] = 0
+        order = sorted(range(n), key=rem.__getitem__, reverse=True)
+    ones = [v for v in range(n) if rem[v]]
+    if len(ones) % 2:
+        raise AssertionError("Havel–Hakimi ran out of targets on graphic input")
+    for u, v in zip(ones[::2], ones[1::2]):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     return Realization(graph=_from_masks(n, adj), sequence=seq)
 
 
@@ -378,7 +394,7 @@ def _full_search(terms: tuple[int, ...], h: SmallGraph) -> _Decision:
                 edges = placed + rest
                 return lambda: (
                     embedding,
-                    Realization(graph=SmallGraph(n, edges), sequence=DegreeSequence(terms)),
+                    Realization(graph=SmallGraph(n, edges), sequence=_canonical(terms)),
                 )
     return Refutation("full_search", subset_count, pattern_count, residual_calls)
 
@@ -394,10 +410,10 @@ def _decide(terms: tuple[int, ...], h: SmallGraph) -> _Decision:
     k = h.k
     if n < k:
         return _DEGREE_REFUTATION
-    if h.edge_count() == 0:
-        return lambda: ({u: u for u in range(k)}, canonical_realization(DegreeSequence(terms)))
     hdegs = _sorted_degrees(h)
-    if any(terms[i] < hdegs[i] for i in range(k)):
+    if not hdegs or not hdegs[0]:  # h is edgeless
+        return lambda: ({u: u for u in range(k)}, canonical_realization(_canonical(terms)))
+    if any(map(int.__lt__, terms, hdegs)):
         return _DEGREE_REFUTATION
     if terms[0] == n - 1:
         lay = tuple(t - 1 for t in terms[1:])
@@ -412,12 +428,12 @@ def _decide(terms: tuple[int, ...], h: SmallGraph) -> _Decision:
                 sub_emb, sub_real = found()
                 edges = [(0, j + 1) for j in range(n - 1)]
                 edges += [(u + 1, v + 1) for u, v in sub_real.graph.edges()]
-                real = Realization(graph=SmallGraph(n, edges), sequence=DegreeSequence(terms))
+                real = Realization(graph=SmallGraph(n, edges), sequence=_canonical(terms))
                 return {u: 0 if u == deleted else sub_emb[u - (u > deleted)] + 1 for u in range(k)}, real
 
             return lift
         return Refutation("dominating_head", *map(sum, zip(*(r[1:] for r in refuted))))
-    real = canonical_realization(DegreeSequence(terms))
+    real = canonical_realization(_canonical(terms))
     emb = find_embedding(h, real.graph)
     if emb is not None:
         return lambda: (emb, real)
@@ -449,8 +465,9 @@ def potentially(
     if not found:
         return PotentialCertificate(answer=False, exhausted=found._asdict())
     embedding, real = found()
+    adj = real.graph.adj
     for u, v in h.edges():
-        if not real.graph.has_edge(embedding[u], embedding[v]):
+        if not (adj[embedding[u]] >> embedding[v]) & 1:
             raise AssertionError("certificate embedding does not carry an edge")
     return PotentialCertificate(answer=True, embedding=embedding, realization=real)
 
@@ -507,7 +524,7 @@ def enumerate_graphic_sequences(
     for s in totals:
         level: list[tuple[int, ...]] = []
         _extend_prefix([0] * n, n, s, host, k, 0, 0, max(n - 1, 0), least, level)
-        yield from map(DegreeSequence, level)
+        yield from map(_canonical, level)
 
 
 def _extend_prefix(

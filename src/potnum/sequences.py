@@ -93,6 +93,14 @@ class DegreeSequence:
         return ",".join(parts)
 
 
+def _canonical(terms: tuple[int, ...]) -> DegreeSequence:
+    """A sequence from a tuple its caller knows is nonincreasing and
+    nonnegative: no sort, no check."""
+    seq = object.__new__(DegreeSequence)
+    object.__setattr__(seq, "terms", terms)
+    return seq
+
+
 def parse_sequence(text: str) -> DegreeSequence:
     """Parse comma-separated degrees; ``v^m`` means m repeats of v.
 
@@ -141,21 +149,44 @@ def is_graphic(seq: DegreeSequence) -> bool:
 def _graphic_desc(terms: tuple[int, ...]) -> bool:
     """The Erdős–Gallai test on a nonincreasing tuple, cached: the one
     graphicality routine behind ``is_graphic``, the enumerator's leaf test
-    and the residual solver's pruning."""
+    and the residual solver's pruning.
+
+    The inequality at p, d_1 + ... + d_p <= p(p-1) + sum_{i>p} min(d_i, p),
+    is tested only where the sequence steps down (d_p > d_{p+1}) or ends
+    (p = n), following Tripathi and Vijay (Discrete Math. 265 (2003)), and
+    the test returns True at the first p with d_p < p - 1: only p up to
+    the corrected Durfee number m = max{i : d_i >= i - 1} need be tested
+    (Barrus, Hartke, Jao and West, Discrete Math. 312 (2012)). Both are
+    exact. Write f(p) for the right side less the left, with f(0) = 0.
+    Past m every term from position p on is below p - 1, so
+    f(p) - f(p-1) = 2(p - 1 - d_p) > 0. On a run of equal terms d at
+    positions a..b, the step f(p+1) - f(p) is 2(p - d) >= 0 once p >= d.
+    Before that it is p - d + c(p), where c(p) counts the terms after
+    position p + 1 that are at least p + 1; c falls by at least one per
+    step inside the run, so the steps do not grow. When b > d, c(d-1) >=
+    b - d >= 1 makes every step on the run nonnegative. Either way the
+    least f on a-1..b is at a - 1 or at b. A run that passes m has
+    d = m - 1 < b, so f(m) >= f(a-1).
+    """
     n = len(terms)
     if n == 0:
         return True
     if sum(terms) % 2 or terms[0] > n - 1:
         return False
     prefix = [0] + list(accumulate(terms))
-    m = n  # running count of terms >= p; terms is nonincreasing
+    count = n  # running count of terms >= p; terms is nonincreasing
     for p in range(1, n + 1):
-        while m > 0 and terms[m - 1] < p:
-            m -= 1
-        # sum_{i=p+1..n} min(d_i, p): the first max(m-p, 0) of those are
-        # capped at p, the rest contribute their own value.
-        capped = max(m - p, 0)
-        start = max(m, p)
+        d = terms[p - 1]
+        if d < p - 1:
+            return True
+        if p < n and terms[p] == d:
+            continue
+        while count > 0 and terms[count - 1] < p:
+            count -= 1
+        # sum_{i=p+1..n} min(d_i, p): the first max(count-p, 0) of those
+        # are capped at p, the rest contribute their own value.
+        capped = max(count - p, 0)
+        start = max(count, p)
         if prefix[p] > p * (p - 1) + p * capped + (prefix[n] - prefix[start]):
             return False
     return True

@@ -6,7 +6,9 @@ reference functions below are the earlier implementations, kept
 verbatim in substance: a ``min``/``sorted`` Havel–Hakimi and a dict-based
 backtracking embedding. Both new functions must give exactly their
 output, ``None`` and dict key order included, on every graphic sequence
-of length at most 8.
+of length at most 8, and the realizations must agree at lengths 9 and
+10 too, where the finish on demands of 0 and 1 and long runs of equal
+demands are common.
 """
 
 import hashlib
@@ -90,6 +92,15 @@ def test_fast_path_matches_reference_up_to_n8():
                 assert got == want and list(got or ()) == list(want or ()), (s, p)
                 calls += 1
     assert calls == 1707 * len(patterns)
+
+
+def test_realization_matches_reference_at_n9_and_n10():
+    count = 0
+    for n in (9, 10):
+        for s in enumerate_graphic_sequences(n):
+            assert canonical_realization(s).graph.adj == _reference_realization(s.terms).adj, s
+            count += 1
+    assert count == 4361 + 16016
 
 
 def test_embeddings_up_to_n8_are_pinned():

@@ -2,13 +2,14 @@
 
 import random
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from potnum.sequences import (
     DegreeSequence,
+    _graphic_desc,
     degree_sufficient,
     is_graphic,
     l1_distance,
@@ -125,6 +126,29 @@ def _all_nonincreasing(n, bound):
     for first in range(bound, -1, -1):
         for rest in _all_nonincreasing(n - 1, first):
             yield (first,) + rest
+
+
+def _textbook_erdos_gallai(terms):
+    """Even sum and, at every p = 1..n, the inequality
+    d_1 + ... + d_p <= p(p-1) + sum_{i>p} min(d_i, p)."""
+    return sum(terms) % 2 == 0 and all(
+        sum(terms[:p]) <= p * (p - 1) + sum(min(d, p) for d in terms[p:])
+        for p in range(1, len(terms) + 1)
+    )
+
+
+def test_graphic_desc_matches_textbook_erdos_gallai_up_to_n10():
+    # the uncached routine tests only where the sequence steps down and
+    # stops at the corrected Durfee number; every nonincreasing tuple with
+    # terms at most n - 1, odd sums included, and heads of n and n + 1
+    checked = 0
+    for n in range(11):
+        below = range(n - 1, -1, -1)
+        heads = ((head, *rest) for head in (n, n + 1) for rest in combinations_with_replacement(below, n - 1))
+        for terms in chain(combinations_with_replacement(below, n), heads if n else ()):
+            assert _graphic_desc.__wrapped__(terms) == _textbook_erdos_gallai(terms), terms
+            checked += 1
+    assert checked == 257871
 
 
 # --- layoff -------------------------------------------------------------------

@@ -16,6 +16,7 @@ from potnum.graphs import (
     friendship_graph,
     path_graph,
 )
+from potnum.oracle import potentially
 from potnum.potential import profile, rho
 from potnum.stability import (
     CoverUndefinedError,
@@ -179,6 +180,19 @@ def test_stability_census_of_the_atlas():
         weak[classify_weak(h).status] += 1
     assert sigma == {"MainLow": 351, "MainHigh": 671, "NotStable": 213, "Unknown": 10}
     assert weak == {"WeaklyStable": 1027, "NotWeaklyStable": 98, "Unknown": 120}
+
+
+def test_rho_refutes_every_not_stable_atlas_graph():
+    # the witness sequence is no realization of a NotStable graph: the
+    # exact decision refutes it at n = k + 2 and k + 6
+    refuted = 0
+    for _, h in _atlas_graphs(7):
+        if classify_sigma(h).status != "NotStable":
+            continue
+        for n in (h.k + 2, h.k + 6):
+            assert not potentially(rho(h, n).seq, h, cap_n=n).answer, (h, n)
+            refuted += 1
+    assert refuted == 2 * 213
 
 
 # --- report shapes ------------------------------------------------------------------
