@@ -2,12 +2,13 @@
 
 Exact potentially-H-graphic decisions, canonical realizations, and exact
 potential numbers. A potential number scans the sequences of each sum
-level with a depth-first recursion that collects the level's kept leaves
-in a list, prunes prefixes by an Erdős–Gallai bound and skips every
-subtree whose first k terms already satisfy the Yin–Li clique
-condition. A frame holds a prefix with two terms or more still to place:
-the last term is forced by the sum, so the loop that places the term
-before it writes it and tests the leaf in place. Leaves get no Yin–Li
+level with a depth-first recursion, one value of the first term at a
+time: it collects that subtree's kept leaves in a list and yields them
+before it builds the next subtree. It prunes prefixes by an Erdős–Gallai
+bound and skips every subtree whose first k terms already satisfy the
+Yin–Li clique condition. A frame holds a prefix with two terms or more
+still to place: the last term is forced by the sum, so the loop that
+places the term before it writes it and tests the leaf in place. Leaves get no Yin–Li
 test. Each leaf of the scan is first tested for the split host
 ``complete_split(k - alpha, alpha)``, which contains H, by one
 residual-graphicity test. The test is sound by construction: it places
@@ -489,10 +490,12 @@ def enumerate_graphic_sequences(
 
     With ``total`` fixed, only sequences of that sum are produced, in
     lexicographically decreasing order. Without it, sums descend from
-    n(n-1) to 0. Each sum level is built in full by ``_extend_prefix``
-    before its first sequence is yielded, so the memory held is that of
-    the largest level, and a consumer that stops early has still paid for
-    the whole level.
+    n(n-1) to 0. Each level is built one value of the first term at a
+    time, in decreasing order: ``_extend_prefix`` builds the kept
+    sequences of that subtree, and they are yielded before the next
+    subtree is built. So the memory held is that of the largest subtree's
+    kept sequences, and a consumer that stops early pays only for the
+    subtrees up to the one it stopped in.
 
     With a split host ``(r, s)``, the sequences that are potentially
     ``complete_split(r, s)``-graphic are left out, in the same order
@@ -521,10 +524,14 @@ def enumerate_graphic_sequences(
         totals = list(range(n * (n - 1), -1, -2))
     k = sum(host) if host else 0
     least = min_term or 0
+    terms = [0] * n
     for s in totals:
-        level: list[tuple[int, ...]] = []
-        _extend_prefix([0] * n, n, s, host, k, 0, 0, max(n - 1, 0), least, level)
-        yield from map(_canonical, level)
+        for d in range(max(n - 1, 0), -1, -1):
+            subtree: list[tuple[int, ...]] = []
+            stop = _extend_prefix(terms, n, s, host, k, 0, 0, d, d, least, subtree)
+            yield from map(_canonical, subtree)
+            if stop:
+                break
 
 
 def _extend_prefix(
@@ -536,23 +543,30 @@ def _extend_prefix(
     q: int,
     placed: int,
     bound: int,
+    low: int,
     least: int,
     out: list[tuple[int, ...]],
-) -> None:
+) -> bool:
     """Depth-first over nonincreasing prefixes d1..dq, largest term first:
     appends to ``out``, as tuples in lexicographically decreasing order,
     the graphic sequences of sum ``total`` below the prefix ``terms[:q]``
-    of sum ``placed``, whose next term is at most ``bound`` and whose
-    terms from q on are all at least ``least``, less those that hold the
-    split ``host`` of order ``k`` (0 without a host). Writes terms q.. of
-    ``terms`` in place. Each frame is one plain call.
+    of sum ``placed``, whose next term is at most ``bound`` and at least
+    ``low`` and whose terms from q on are all at least ``least``, less
+    those that hold the split ``host`` of order ``k`` (0 without a host).
+    Writes terms q.. of ``terms`` in place. Each frame is one plain call.
+    Returns True when no value below ``low`` can add a sequence: the loop
+    ended at a greedy break (below), or ``low`` lies below the loop's
+    range. So a caller that gives the top frame one first-term value at a
+    time, with ``bound`` and ``low`` both that value, stops at the first
+    True. A frame below the top is called with ``low`` 0 and its answer is
+    not read: it says nothing of its parent's later values.
 
     The loop over term q runs from min(bound, r, r - (slots-1) least)
-    down to ceil(r/slots), r being the sum still to place and slots the
-    terms still to place: the terms after it are at most it and at least
-    ``least``. No value below ``least`` lies in that range: d >= r/slots
-    gives r - (slots-1) least <= slots d - (slots-1) least, which is
-    below d when d < least. A top frame with one slot, whose term is r,
+    down to max(low, ceil(r/slots)), r being the sum still to place and
+    slots the terms still to place: the terms after it are at most it and
+    at least ``least``. No value below ``least`` lies in that range:
+    d >= r/slots gives r - (slots-1) least <= slots d - (slots-1) least,
+    which is below d when d < least. A top frame with one slot, whose term is r,
     drops it when r < ``least``.
 
     A prefix is dropped when its sum exceeds q(q-1) + min(r, (n-q) min(q, dq)):
@@ -578,10 +592,10 @@ def _extend_prefix(
     A frame with q >= k, whose slots all lie past the host's positions,
     tests before it descends into value d the greedy completion g(d): the
     prefix, d repeated r // d times, the remainder, then zeros. When
-    ``_split_holds(g(d))`` holds the frame returns: every completion with
-    a value of at most d here, whatever its smallest term, has a tail that
-    g(d)'s tail majorizes, so each is potentially host-graphic by this
-    lemma. If a sequence has a realization with the host on positions
+    ``_split_holds(g(d))`` holds the frame returns True: every completion
+    with a value of at most d here, whatever its smallest term, has a tail
+    that g(d)'s tail majorizes, so each is potentially host-graphic by
+    this lemma. If a sequence has a realization with the host on positions
     0..k-1, moving one unit from a term a to a term b with a >= b + 2,
     both at positions k or later, keeps one. Vertex u (of degree a) has a
     neighbour w outside N[v] (v of degree b), since u has at least b + 1
@@ -605,7 +619,7 @@ def _extend_prefix(
         leaf = tuple(terms)
         if not (host and _split_holds(leaf, *host)) and _graphic_desc(leaf):
             out.append(leaf)
-        return
+        return True
     q1 = q + 1
     top = bound if bound < r else r
     # a parent at q - 1 >= k has tested, and found failing, the greedy
@@ -622,7 +636,8 @@ def _extend_prefix(
     greedy = host and q >= k
     if greedy:
         head = tuple(terms[:q])
-    for d in range(top, -(-r // slots) - 1, -1):
+    lo = -(-r // slots)
+    for d in range(top, (lo if lo > low else low) - 1, -1):
         s = placed + d
         rest = total - s
         cap = tail * (q1 if q1 < d else d)
@@ -633,17 +648,18 @@ def _extend_prefix(
             if greedy and d != tested:
                 m = r // d if d else slots
                 if _split_holds(head + (d,) * m + (r - m * d,) * (m < slots) + (0,) * (slots - m - 1), *host):
-                    return
-            _extend_prefix(terms, n, total, host, k, q1, s, d, least, out)
+                    return True
+            _extend_prefix(terms, n, total, host, k, q1, s, d, 0, least, out)
             continue
         terms[q1] = rest
         leaf = tuple(terms)
         if host and d != tested and _split_holds(leaf, *host):
             if greedy:
-                return
+                return True
             continue
         if _graphic_desc(leaf):
             out.append(leaf)
+    return low < lo
 
 
 def _split_holds(terms: tuple[int, ...], r: int, s: int) -> bool:
@@ -694,10 +710,11 @@ def sigma_exact(
     one before, and returns them all as ``chain``. At each length it scans sums downward and stops at the
     first level carrying a refutation; sigma is 2 more than that sum.
     Below n it stops at the first refutation, since only sigma is needed
-    there; at n it collects every refutation of that level. At each level
-    it decides the graphic sequences that the enumerator keeps for the
-    split host ``complete_split(k - alpha, alpha)``: it leaves out every
-    sequence that is potentially host-graphic (by the Yin–Li clique
+    there, and the enumerator builds no first-term subtree past the one
+    that holds it; at n it collects every refutation of that level. At
+    each level it decides the graphic sequences that the enumerator keeps
+    for the split host ``complete_split(k - alpha, alpha)``: it leaves out
+    every sequence that is potentially host-graphic (by the Yin–Li clique
     condition for order k on a prefix of length k, by ``_split_holds`` on
     each leaf before its Erdős–Gallai test, and by the same test on a
     greedy completion, which ends a loop over a term at position k or

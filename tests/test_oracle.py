@@ -448,6 +448,45 @@ def test_enumerate_edge_cases():
     assert terms(3, min_term=1, host=(1, 1)) == []
 
 
+def test_enumerate_builds_a_level_one_first_term_at_a_time(monkeypatch):
+    # a consumer that takes only the first sequence of a level pays for
+    # the first subtree that keeps one, not for the whole level: here C6's
+    # host at n = 10, sum 36, whose first kept sequence is 9,9,3,3,2^6
+    calls = [0]
+    split = oracle._split_holds
+
+    def counted(t, r, s):
+        calls[0] += 1
+        return split(t, r, s)
+
+    monkeypatch.setattr(oracle, "_split_holds", counted)
+    scan = lambda: enumerate_graphic_sequences(10, 36, host=(3, 3), min_term=2)
+    assert next(scan()).to_text() == "9,9,3,3,2^6"
+    first = calls[0]
+    calls[0] = 0
+    assert len(list(scan())) == 108
+    assert first < calls[0]
+
+
+def test_enumerators_advanced_alternately_agree_with_each_alone():
+    # each generator keeps its own prefix and subtree across yields, so
+    # scans advanced in turn, as threads sharing the module advance them,
+    # do not disturb each other
+    args = [((7,), {}), ((7,), {"host": (3, 3), "min_term": 1}), ((8, 24), {"host": (2, 1)}), ((8, 24), {})]
+    alone = [list(enumerate_graphic_sequences(*a, **kw)) for a, kw in args]
+    scans = [enumerate_graphic_sequences(*a, **kw) for a, kw in args]
+    together = [[] for _ in args]
+    live = True
+    while live:
+        live = False
+        for scan, got in zip(scans, together):
+            item = next(scan, None)
+            if item is not None:
+                got.append(item)
+                live = True
+    assert together == alone
+
+
 # --- exact potential numbers ---------------------------------------------------------
 
 
@@ -507,21 +546,35 @@ def test_sigma_k4_small_lengths_true_values():
     assert sigma_exact(k4, 10).value == 4 * 10 - 4
 
 
+def _sigma_by_deciding_every_sequence(h, n, level):
+    """sigma(h, n) and its maximizers from the top sum down, deciding
+    every sequence that ``level(n, total)`` gives."""
+    for total in range(n * (n - 1), -1, -2):
+        falses = tuple(s for s in level(n, total) if not _decide(s.terms, h))
+        if falses:
+            return total + 2, falses
+    return None
+
+
 def test_sigma_matches_scan_of_every_sequence_n8():
     # the reference decides every graphic sequence, with no Yin–Li pruning
     n = 8
     for name, h in corpus().items():
-        want = None
-        for total in range(n * (n - 1), -1, -2):
-            falses = tuple(
-                s for s in _graphic_by_reference(n, total)
-                if not _decide(s.terms, h)
-            )
-            if falses:
-                want = (total + 2, falses)
-                break
+        want = _sigma_by_deciding_every_sequence(h, n, _graphic_by_reference)
         got = sigma_exact(h, n)
         assert (got.value, got.extremal_sequences) == want, name
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_sigma_matches_unpruned_scan(n):
+    # the enumerator with no host and no smallest-term bound keeps every
+    # graphic sequence, so this scan has none of sigma_exact's prunes: not
+    # the split host, the Yin–Li skip, the greedy break, the smallest-term
+    # bound, nor the stop in the first subtree that refutes below n
+    for name, h in corpus().items():
+        want = _sigma_by_deciding_every_sequence(h, n, enumerate_graphic_sequences)
+        got = sigma_exact(h, n)
+        assert (got.value, got.extremal_sequences) == want, (name, n)
 
 
 def test_sigma_n10_values_and_maximizers():
@@ -582,15 +635,16 @@ def test_sigma_identity_n8_to_n11():
 
 def test_sigma_scan_leaf_count(monkeypatch):
     # the Yin–Li subtree skip, the Erdős–Gallai prefix bound, the
-    # greedy-completion break and the smallest-term skip change no answer,
-    # since the leaf tests drop what they skip, so only the work shows
-    # them: a lost prune raises the number of split tests. Each count is
-    # (leaf tests, greedy-completion tests): a frame tests the greedy completion
-    # of each value before it descends, and a leaf's own test is made in
-    # the loop that forces the last term (the caller's ``tail`` is 1
-    # there, or not yet bound in a top frame of length 0 or 1). The counts
-    # include the scans at the lengths k..9 whose sigma gives the
-    # smallest-term bound at the next length
+    # greedy-completion break, the smallest-term skip and the stop after
+    # the first-term subtree that holds a length's first refutation below
+    # n change no answer, since the leaf tests drop what they skip, so
+    # only the work shows them: a lost prune raises the number of split
+    # tests. Each count is (leaf tests, greedy-completion tests): a frame
+    # tests the greedy completion of each value before it descends, and a
+    # leaf's own test is made in the loop that forces the last term (the
+    # caller's ``tail`` is 1 there, or not yet bound in a top frame of
+    # length 0 or 1). The counts include the scans at the lengths k..9
+    # whose sigma gives the smallest-term bound at the next length
     counts = {}
     split = oracle._split_holds
 
@@ -603,8 +657,8 @@ def test_sigma_scan_leaf_count(monkeypatch):
         counts[name] = [0, 0]
         sigma_exact(h, 10)
     assert {name: tuple(c) for name, c in counts.items()} == {
-        "K3": (5, 29), "K4": (5, 37), "C5": (46, 219), "C6": (151, 266),
-        "P4": (21, 65), "K23": (62, 556), "split23": (85, 286), "friendship2": (46, 219),
+        "K3": (4, 15), "K4": (5, 30), "C5": (26, 152), "C6": (95, 209),
+        "P4": (10, 32), "K23": (48, 429), "split23": (70, 209), "friendship2": (26, 152),
     }
 
 
@@ -634,6 +688,20 @@ def test_sigma_table_digests_n14_to_n16_and_n20(capsys):
         "39b08ee26d3c9d16789c098de48d8f102adef10255932f127fcfccb5f13eebf0",
         "58ecb9d191f8400960e4337edf1d0394a290855dd9e0579f163e4a7aa91ed163",
         "cf6c5c5fa72ac154faccab1c65eb67dec2a59f2db30fcdbc453837e73416b0c3",
+    ]
+
+
+def test_sigma_table_digests_n22_and_n24(capsys):
+    # README's digests of ``scripts/sigma_table.py 22 24``, as above
+    path = Path(__file__).resolve().parent.parent / "scripts" / "sigma_table.py"
+    spec = importlib.util.spec_from_file_location("sigma_table", path)
+    table = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(table)
+    table.main([22, 24])
+    digests = [line.split("sha256=")[1] for line in capsys.readouterr().out.splitlines() if "digest" in line]
+    assert digests == [
+        "c6bfd4f8eb538ecb5228b33e63de09a3c5da0d02451ebb9f576e039cc728440e",
+        "19c50eb6141d1a4ef9ec2778d313c1adb597bec5f3be69fa744ab4634f7172bf",
     ]
 
 
