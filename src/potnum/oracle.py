@@ -6,17 +6,18 @@ level with a depth-first recursion, one value of the first term at a
 time: it collects that subtree's kept leaves in a list and yields them
 before it builds the next subtree. It prunes prefixes by an Erdős–Gallai
 bound and skips every subtree whose first k terms already satisfy the
-Yin–Li clique condition. A frame holds a prefix with two terms or more
-still to place: the last term is forced by the sum, so the loop that
-places the term before it writes it and tests the leaf in place. Leaves get no Yin–Li
-test. Each leaf of the scan is first tested for the split host
-``complete_split(k - alpha, alpha)``, which contains H, by one
-residual-graphicity test. The test is sound by construction: it places
-the host's edges itself and asks only that the rest be graphic, so a leaf
-that passes is graphic and has a realization containing H. Only a leaf
-that fails it gets the Erdős–Gallai test, and only a graphic leaf that
-fails it is decided, so that few sequences that cannot refute are
-decided.
+Yin–Li clique condition. A frame takes its prefix as a tuple and passes
+each child a longer tuple, so frames share no mutable state. A frame
+has two terms or more still to place: the last term is forced by the
+sum, so the loop that places the term before it builds the leaf and
+tests it there. Leaves get no Yin–Li test. Each leaf of the scan is
+first tested for the split host ``complete_split(k - alpha, alpha)``,
+which contains H, by one residual-graphicity test. The test is sound by
+construction: it places the host's edges itself and asks only that the
+rest be graphic, so a leaf that passes is graphic and has a realization
+containing H. Only a leaf that fails it gets the Erdős–Gallai test, and
+only a graphic leaf that fails it is decided, so that few sequences that
+cannot refute are decided.
 
 A frame that places a term at position k or later ends its loop at the
 first value whose greedy completion holds the host. Every sequence the
@@ -491,11 +492,13 @@ def enumerate_graphic_sequences(
     With ``total`` fixed, only sequences of that sum are produced, in
     lexicographically decreasing order. Without it, sums descend from
     n(n-1) to 0. Each level is built one value of the first term at a
-    time, in decreasing order: ``_extend_prefix`` builds the kept
-    sequences of that subtree, and they are yielded before the next
-    subtree is built. So the memory held is that of the largest subtree's
-    kept sequences, and a consumer that stops early pays only for the
-    subtrees up to the one it stopped in.
+    time, from n-1 down to ceil(total/n), below which the other terms
+    could not make up the sum: ``_extend_prefix`` builds the kept
+    sequences of that subtree into one list, they are yielded, and the
+    list is cleared before the next subtree is built. So the memory held
+    is that of the largest subtree's kept sequences, and a consumer that
+    stops early pays only for the subtrees up to the one it stopped in.
+    Lengths 0 and 1 have one candidate, all zeros, settled here.
 
     With a split host ``(r, s)``, the sequences that are potentially
     ``complete_split(r, s)``-graphic are left out, in the same order
@@ -524,50 +527,50 @@ def enumerate_graphic_sequences(
         totals = list(range(n * (n - 1), -1, -2))
     k = sum(host) if host else 0
     least = min_term or 0
-    terms = [0] * n
+    if n < 2:
+        # the one candidate is all zeros, at sum 0, the only level; at
+        # length 1 its term lies below a positive ``least``
+        leaf = (0,) * n
+        if totals and not (n and least) and not (host and _split_holds(leaf, *host)):
+            yield _canonical(leaf)
+        return
+    subtree: list[tuple[int, ...]] = []
     for s in totals:
-        for d in range(max(n - 1, 0), -1, -1):
-            subtree: list[tuple[int, ...]] = []
-            stop = _extend_prefix(terms, n, s, host, k, 0, 0, d, d, least, subtree)
+        for d in range(n - 1, -(-s // n) - 1, -1):
+            _extend_prefix((), n, s, host, k, 0, d, d, least, subtree)
             yield from map(_canonical, subtree)
-            if stop:
-                break
+            subtree.clear()
 
 
 def _extend_prefix(
-    terms: list[int],
+    prefix: tuple[int, ...],
     n: int,
     total: int,
     host: tuple[int, int] | None,
     k: int,
-    q: int,
     placed: int,
     bound: int,
     low: int,
     least: int,
     out: list[tuple[int, ...]],
-) -> bool:
+) -> None:
     """Depth-first over nonincreasing prefixes d1..dq, largest term first:
     appends to ``out``, as tuples in lexicographically decreasing order,
-    the graphic sequences of sum ``total`` below the prefix ``terms[:q]``
-    of sum ``placed``, whose next term is at most ``bound`` and at least
-    ``low`` and whose terms from q on are all at least ``least``, less
-    those that hold the split ``host`` of order ``k`` (0 without a host).
-    Writes terms q.. of ``terms`` in place. Each frame is one plain call.
-    Returns True when no value below ``low`` can add a sequence: the loop
-    ended at a greedy break (below), or ``low`` lies below the loop's
-    range. So a caller that gives the top frame one first-term value at a
-    time, with ``bound`` and ``low`` both that value, stops at the first
-    True. A frame below the top is called with ``low`` 0 and its answer is
-    not read: it says nothing of its parent's later values.
+    the graphic sequences of sum ``total`` below the tuple ``prefix`` of
+    length q and sum ``placed``, whose next term is at most ``bound`` and
+    at least ``low`` and whose terms from q on are all at least ``least``,
+    less those that hold the split ``host`` of order ``k`` (0 without a
+    host). Each frame is one plain call that reads its prefix and passes
+    each child a new tuple, so frames share no mutable state. The
+    enumerator calls the top frame once per first-term value, with
+    ``bound`` and ``low`` both that value; a frame below it gets ``low`` 0.
 
     The loop over term q runs from min(bound, r, r - (slots-1) least)
     down to max(low, ceil(r/slots)), r being the sum still to place and
     slots the terms still to place: the terms after it are at most it and
     at least ``least``. No value below ``least`` lies in that range:
     d >= r/slots gives r - (slots-1) least <= slots d - (slots-1) least,
-    which is below d when d < least. A top frame with one slot, whose term is r,
-    drops it when r < ``least``.
+    which is below d when d < least.
 
     A prefix is dropped when its sum exceeds q(q-1) + min(r, (n-q) min(q, dq)):
     no completion then meets the Erdős–Gallai inequality at q. A prefix that meets the first clause of
@@ -581,18 +584,18 @@ def _extend_prefix(
 
     The last term is forced: it is the sum still to place, and the range
     of the term before it, from ceil(r/2) to min(bound, r - least), keeps
-    it between ``least`` and that term. So the loop that
-    places term n-1 writes term n itself and tests the leaf there, with no
-    frame of its own: ``_split_holds``, whose True drops the leaf and
-    proves it graphic, and only then the exact Erdős–Gallai test. Every frame thus has two slots
-    or more to fill, except a top frame of length 0 or 1, which tests its
-    one leaf the same way. A leaf gets no Yin–Li test: one that meets it
-    is potentially K_k-graphic, so the exact split test accepts it.
+    it between ``least`` and that term. So the loop that places term n-1
+    builds the leaf, the prefix plus that term and the forced one, and
+    tests it there, with no frame of its own: ``_split_holds``, whose True
+    drops the leaf and proves it graphic, and only then the exact
+    Erdős–Gallai test. Every frame thus has two slots or more to fill. A
+    leaf gets no Yin–Li test: one that meets it is potentially
+    K_k-graphic, so the exact split test accepts it.
 
     A frame with q >= k, whose slots all lie past the host's positions,
     tests before it descends into value d the greedy completion g(d): the
     prefix, d repeated r // d times, the remainder, then zeros. When
-    ``_split_holds(g(d))`` holds the frame returns True: every completion
+    ``_split_holds(g(d))`` holds the frame returns: every completion
     with a value of at most d here, whatever its smallest term, has a tail
     that g(d)'s tail majorizes, so each is potentially host-graphic by
     this lemma. If a sequence has a realization with the host on positions
@@ -610,23 +613,16 @@ def _extend_prefix(
     That completion is the one for the top before the clique prune and
     the bound ``least`` lower it; once either has, no value skips the test.
     """
+    q = len(prefix)
     r = total - placed
     slots = n - q
-    if slots < 2:
-        if slots and r < least:
-            return
-        terms[q:] = [r] * slots
-        leaf = tuple(terms)
-        if not (host and _split_holds(leaf, *host)) and _graphic_desc(leaf):
-            out.append(leaf)
-        return True
     q1 = q + 1
     top = bound if bound < r else r
     # a parent at q - 1 >= k has tested, and found failing, the greedy
     # completion of the value it placed: this frame's for the top before
     # the clique prune and the bound on the terms after this one lower it
     tested = top if q > k else -1
-    if q1 == k and top > k - 2 and all(terms[i] >= 2 * k - 3 - i for i in range(k - 2)):
+    if q1 == k and top > k - 2 and all(prefix[i] >= 2 * k - 3 - i for i in range(k - 2)):
         top = k - 2
     cut = r - (slots - 1) * least  # leave ``least`` for each later term
     if cut < top:
@@ -634,8 +630,6 @@ def _extend_prefix(
     base = q1 * (q1 - 1)
     tail = slots - 1
     greedy = host and q >= k
-    if greedy:
-        head = tuple(terms[:q])
     lo = -(-r // slots)
     for d in range(top, (lo if lo > low else low) - 1, -1):
         s = placed + d
@@ -643,23 +637,19 @@ def _extend_prefix(
         cap = tail * (q1 if q1 < d else d)
         if s > base + (rest if rest < cap else cap):
             continue
-        terms[q] = d
         if tail > 1:
             if greedy and d != tested:
                 m = r // d if d else slots
-                if _split_holds(head + (d,) * m + (r - m * d,) * (m < slots) + (0,) * (slots - m - 1), *host):
-                    return True
-            _extend_prefix(terms, n, total, host, k, q1, s, d, 0, least, out)
+                if _split_holds(prefix + (d,) * m + (r - m * d,) * (m < slots) + (0,) * (slots - m - 1), *host):
+                    return
+            _extend_prefix(prefix + (d,), n, total, host, k, s, d, 0, least, out)
             continue
-        terms[q1] = rest
-        leaf = tuple(terms)
+        leaf = prefix + (d, rest)
         if host and d != tested and _split_holds(leaf, *host):
             if greedy:
-                return True
-            continue
-        if _graphic_desc(leaf):
+                return
+        elif _graphic_desc(leaf):
             out.append(leaf)
-    return low < lo
 
 
 def _split_holds(terms: tuple[int, ...], r: int, s: int) -> bool:

@@ -105,8 +105,9 @@ def parse_sequence(text: str) -> DegreeSequence:
     """Parse comma-separated degrees; ``v^m`` means m repeats of v.
 
     Whitespace is ignored anywhere. The empty string parses to the empty
-    sequence. More than ``MAX_INT_ARG`` terms raise ``ValueError`` before
-    any is built. Round-trips exactly with ``DegreeSequence.to_text``.
+    sequence. More than ``MAX_INT_ARG`` terms, or a degree or repeat count
+    of more than ``MAX_DIGITS`` digits, raise ``ValueError`` before any
+    term is built. Round-trips exactly with ``DegreeSequence.to_text``.
     """
     stripped = "".join(text.split())
     if not stripped:
@@ -117,6 +118,8 @@ def parse_sequence(text: str) -> DegreeSequence:
             raise ValueError(f"empty item in sequence text {text!r}")
         if "^" in piece:
             base, _, count = piece.partition("^")
+            _check_digits(base)
+            _check_digits(count)
             try:
                 v, m = int(base), int(count)
             except ValueError:
@@ -124,6 +127,7 @@ def parse_sequence(text: str) -> DegreeSequence:
             if m < 0:
                 raise ValueError(f"negative repeat count in {piece!r}")
         else:
+            _check_digits(piece)
             try:
                 v, m = int(piece), 1
             except ValueError:

@@ -230,16 +230,29 @@ def test_exit_code_parse_error(capsys, tmp_path):
             code, _, err = run_cli(capsys, "probe", "9,3^9", "split 2 3", flag, value)
             assert code == 1 and err.startswith("error:"), (flag, value[:8])
             assert f"exceeds {MAX_DIGITS} digits" in err, (flag, value[:8])
-    # so does int(), for an integer in an expression, a build parameter or
-    # either line of a graph file
+    # so does int(), for an integer in an expression, a build parameter,
+    # either line of a graph file or a degree or repeat count of sequence
+    # text, whether it has one digit more than the bound or more digits
+    # than Python prints
     ones = "1" * 5000
     (tmp_path / "n.txt").write_text(f"n {ones}\n")
     (tmp_path / "e.txt").write_text(f"n 3\ne 1 {ones}\n")
+    sequences = [
+        argv
+        for digits in ("1" * 1001, ones)
+        for argv in (
+            ("check", digits, "K 3"),
+            ("dist", digits, "1"),
+            ("dist", f"1^{digits}", "1"),
+            ("probe", f"{digits},3^9", "split 2 3"),
+        )
+    ]
     for argv in (
         ("analyze", f"K {ones}"),
         ("build", "K 3", "rho", ones),
         ("analyze", str(tmp_path / "n.txt")),
         ("analyze", str(tmp_path / "e.txt")),
+        *sequences,
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1 and err.startswith("error:"), argv[:2]

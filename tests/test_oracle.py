@@ -400,8 +400,8 @@ def test_enumerate_fixed_sum_order_is_lex_decreasing():
 
 
 def test_enumerate_edge_cases():
-    # the shortest lengths: below 2 the top frame tests its one leaf, at 2
-    # the loop over the first term forces the second
+    # the shortest lengths: below 2 the enumerator tests the one candidate,
+    # all zeros, itself, at 2 the loop over the first term forces the second
     terms = lambda *args, **kw: [s.terms for s in enumerate_graphic_sequences(*args, **kw)]
     assert terms(0) == terms(0, 0) == [()]
     assert terms(1) == terms(1, 0) == [(0,)]
@@ -435,9 +435,10 @@ def test_enumerate_edge_cases():
     for min_term in (-1, 2.0, "3"):
         with pytest.raises(ValueError):
             list(enumerate_graphic_sequences(5, min_term=min_term))
-    # the empty sequence has no term below any bound; a top frame with one
-    # slot drops its leaf below the bound, and at length 2 the bound cuts
-    # the first term's range so that the forced second term meets it
+    # the empty sequence has no term below any bound; at length 1 the
+    # enumerator drops the candidate 0 below a positive bound, and at
+    # length 2 the bound cuts the first term's range so that the forced
+    # second term meets it
     assert terms(0, min_term=0) == terms(0, min_term=3) == [()]
     assert terms(1, min_term=0) == [(0,)]
     assert terms(1, min_term=1) == []
@@ -469,9 +470,9 @@ def test_enumerate_builds_a_level_one_first_term_at_a_time(monkeypatch):
 
 
 def test_enumerators_advanced_alternately_agree_with_each_alone():
-    # each generator keeps its own prefix and subtree across yields, so
-    # scans advanced in turn, as threads sharing the module advance them,
-    # do not disturb each other
+    # each generator keeps its own subtree list across yields, and its
+    # frames pass their prefixes down as tuples, so scans advanced in turn,
+    # as threads sharing the module advance them, do not disturb each other
     args = [((7,), {}), ((7,), {"host": (3, 3), "min_term": 1}), ((8, 24), {"host": (2, 1)}), ((8, 24), {})]
     alone = [list(enumerate_graphic_sequences(*a, **kw)) for a, kw in args]
     scans = [enumerate_graphic_sequences(*a, **kw) for a, kw in args]
@@ -642,8 +643,9 @@ def test_sigma_scan_leaf_count(monkeypatch):
     # tests. Each count is (leaf tests, greedy-completion tests): a frame
     # tests the greedy completion of each value before it descends, and a
     # leaf's own test is made in the loop that forces the last term (the
-    # caller's ``tail`` is 1 there, or not yet bound in a top frame of
-    # length 0 or 1). The counts include the scans at the lengths k..9
+    # caller's ``tail`` is 1 there, or unbound in the enumerator, which
+    # tests the one candidate of length 0 or 1). The counts include the
+    # scans at the lengths k..9
     # whose sigma gives the smallest-term bound at the next length
     counts = {}
     split = oracle._split_holds
