@@ -8,16 +8,19 @@ before it builds the next subtree. It prunes prefixes by an Erdős–Gallai
 bound and skips every subtree whose first k terms already satisfy the
 Yin–Li clique condition. A frame takes its prefix as a tuple and passes
 each child a longer tuple, so frames share no mutable state. A frame
-has two terms or more still to place: the last term is forced by the
-sum, so the loop that places the term before it builds the leaf and
-tests it there. Leaves get no Yin–Li test. Each leaf of the scan is
-first tested for the split host ``complete_split(k - alpha, alpha)``,
-which contains H, by one residual-graphicity test. The test is sound by
-construction: it places the host's edges itself and asks only that the
-rest be graphic, so a leaf that passes is graphic and has a realization
-containing H. Only a leaf that fails it gets the Erdős–Gallai test, and
-only a graphic leaf that fails it is decided, so that few sequences that
-cannot refute are decided.
+has two terms or more still to place. Where the sum and the bounds leave
+the terms after a value one completion, as they always do for the last
+term, the frame builds that leaf itself instead of a chain of frames
+with one value each: those frames only prune, and the leaf's own tests,
+including the clique clause a skipped frame would have applied, drop
+whatever they would. Each leaf of the scan is first tested for the split
+host ``complete_split(k - alpha, alpha)``, which contains H, by one
+residual-graphicity test. The test is sound by construction: it places
+the host's edges itself and asks only that the rest be graphic, so a
+leaf that passes is graphic and has a realization containing H. Only a
+leaf that fails it gets the Erdős–Gallai test, and only a graphic leaf
+that fails it is decided, so that few sequences that cannot refute are
+decided.
 
 A frame that places a term at position k or later ends its loop at the
 first value whose greedy completion holds the host. Every sequence the
@@ -508,8 +511,12 @@ def enumerate_graphic_sequences(
     contains the host, and a loop over a term at position r+s or later
     ends at the first value whose greedy completion passes
     ``_split_holds``: by the 2-switch lemma in ``_extend_prefix``, every
-    sequence it skips is potentially host-graphic too. Each leaf meets
-    only ``_split_holds``, then its Erdős–Gallai test. ``host`` must be a
+    sequence it skips is potentially host-graphic too. A value whose
+    later terms have one completion gets that leaf built at once, with
+    the clique clause of the frame it skips: the output is the same, by
+    the proof in ``_extend_prefix``. Each leaf meets ``_split_holds``,
+    unless it is a greedy completion found failing already, then its
+    Erdős–Gallai test. ``host`` must be a
     pair of nonnegative ints; anything else raises ``ValueError``, as
     does a ``min_term`` that is not a nonnegative int.
     """
@@ -582,18 +589,8 @@ def _extend_prefix(
     The second clause, d_k >= k-1 and d_2k >= k-2, gets no prune of its
     own: the leaf's split test settles what it would skip.
 
-    The last term is forced: it is the sum still to place, and the range
-    of the term before it, from ceil(r/2) to min(bound, r - least), keeps
-    it between ``least`` and that term. So the loop that places term n-1
-    builds the leaf, the prefix plus that term and the forced one, and
-    tests it there, with no frame of its own: ``_split_holds``, whose True
-    drops the leaf and proves it graphic, and only then the exact
-    Erdős–Gallai test. Every frame thus has two slots or more to fill. A
-    leaf gets no Yin–Li test: one that meets it is potentially
-    K_k-graphic, so the exact split test accepts it.
-
     A frame with q >= k, whose slots all lie past the host's positions,
-    tests before it descends into value d the greedy completion g(d): the
+    tests before it places value d the greedy completion g(d): the
     prefix, d repeated r // d times, the remainder, then zeros. When
     ``_split_holds(g(d))`` holds the frame returns: every completion
     with a value of at most d here, whatever its smallest term, has a tail
@@ -605,13 +602,42 @@ def _extend_prefix(
     neighbours other than v; the 2-switch that replaces uw by vw keeps
     every other degree, and uw is no host edge because u lies outside the
     host's positions. A majorized tail is reached from the greedy one by
-    such unit moves. In the loop that forces the last term g(d) is the leaf
-    itself, so the first leaf that passes the split test ends that loop.
-    The values before the first passing one fail, so a child's first
-    value, whose greedy completion is its parent's for the value the
-    parent placed, skips the test when the parent, at q - 1 >= k, made it.
-    That completion is the one for the top before the clique prune and
-    the bound ``least`` lower it; once either has, no value skips the test.
+    such unit moves. The values before the first passing one fail, so a
+    child's first value, whose greedy completion is its parent's for the
+    value the parent placed, skips the test when the parent, at q - 1 >=
+    k, made it. That completion is the one for the top before the clique
+    prune and the bound ``least`` lower it; once either has, no value
+    skips the test.
+
+    After value d, write rest for the sum still to place and tail for the
+    number of terms still to place, each in [least, d], and let over =
+    rest - tail least and under = tail d - rest; the range of d makes both
+    nonnegative. The completion is unique exactly when tail = 1, under <=
+    1, over <= 1 or d - least <= 1: its terms then take two adjacent
+    values, so it is v + 1 repeated j times and then v, (v, j) =
+    divmod(rest, tail). The frame builds that leaf and tests it itself,
+    in place of the chain of one-value frames that would lead to it, so
+    every frame has two slots or more to fill. Those frames could only
+    drop the leaf, and its tests drop it whenever they would, so the
+    output is unchanged:
+
+    * a skipped Erdős–Gallai prefix bound fails only if no completion is
+      graphic, and then the leaf's exact Erdős–Gallai test fails;
+    * the clique prune of a skipped frame that would place term k (q + 1
+      < k < n) is applied to the leaf: it is dropped when d_k >= k-1 and
+      d_i >= 2(k-1)-i for every i <= k-2;
+    * a skipped greedy break found the host in a completion whose tail,
+      from that frame's position on, majorizes the leaf's, so by the
+      lemma the leaf has a realization that holds the host, and the split
+      test, exact on graphic sequences, drops it.
+
+    So the leaf meets ``_split_holds``, whose True drops it and proves it
+    graphic, and then the exact Erdős–Gallai test. The split test is
+    skipped when the frame has q >= k and the leaf is g(d), which it (or
+    its parent) has found failing: so it is when under <= 1, tail = 1 or
+    least = 0, and in no other case. A leaf gets no test of the second
+    Yin–Li clause: one that meets it is potentially K_k-graphic, so the
+    exact split test accepts it.
     """
     q = len(prefix)
     r = total - placed
@@ -630,6 +656,7 @@ def _extend_prefix(
     base = q1 * (q1 - 1)
     tail = slots - 1
     greedy = host and q >= k
+    clique = q1 < k < n  # a frame below this one would place term k
     lo = -(-r // slots)
     for d in range(top, (lo if lo > low else low) - 1, -1):
         s = placed + d
@@ -637,18 +664,23 @@ def _extend_prefix(
         cap = tail * (q1 if q1 < d else d)
         if s > base + (rest if rest < cap else cap):
             continue
-        if tail > 1:
-            if greedy and d != tested:
-                m = r // d if d else slots
-                if _split_holds(prefix + (d,) * m + (r - m * d,) * (m < slots) + (0,) * (slots - m - 1), *host):
-                    return
+        if greedy and d != tested:
+            m = r // d if d else slots
+            if _split_holds(prefix + (d,) * m + (r - m * d,) * (m < slots) + (0,) * (slots - m - 1), *host):
+                return
+        under = tail * d - rest
+        over = rest - tail * least
+        if tail > 1 and under > 1 and over > 1 and d - least > 1:
             _extend_prefix(prefix + (d,), n, total, host, k, s, d, 0, least, out)
             continue
-        leaf = prefix + (d, rest)
-        if host and d != tested and _split_holds(leaf, *host):
-            if greedy:
-                return
-        elif _graphic_desc(leaf):
+        v, j = divmod(rest, tail)
+        leaf = prefix + (d,) + (v + 1,) * j + (v,) * (tail - j)
+        if clique and leaf[k - 1] >= k - 1 and all(leaf[i] >= 2 * k - 3 - i for i in range(k - 2)):
+            continue
+        # the leaf is g(d), tested already, when under < 2, tail < 2 or least is 0
+        if host and not (greedy and (under < 2 or tail < 2 or not least)) and _split_holds(leaf, *host):
+            continue
+        if _graphic_desc(leaf):
             out.append(leaf)
 
 

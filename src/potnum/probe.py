@@ -21,7 +21,6 @@ import json
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from types import MappingProxyType
 
 from .graphs import CapExceededError, SmallGraph, _bits, _induced_degrees, _max_independent_sets, complete_split
@@ -49,11 +48,8 @@ def default_f(k: int) -> int:
     return math.comb(k, k // 2) * 8 * k * k
 
 
-# typed: a float epsilon equal to a Fraction must not hand back a float bound
-@lru_cache(maxsize=1 << 8, typed=True)
 def delta_bound(epsilon: Fraction, k: int) -> Fraction:
-    """Strict upper bound on delta used by the convergence argument,
-    cached: ``ProbeConfig.resolve`` asks for it on every probe."""
+    """Strict upper bound on delta used by the convergence argument."""
     return epsilon / (16 * k**3 + 48 * k**2 + (32 + epsilon) * k)
 
 
@@ -73,19 +69,23 @@ class ProbeConfig(
 
     def resolve(self, k: int) -> tuple[Fraction, int, list[str]]:
         """Concrete (delta, f) for a graph of order k, plus warnings.
-        Each comparison is cross-multiplied: denominators are positive."""
+        Each comparison is cross-multiplied: denominators are positive.
+        With epsilon = ep/eq, ``delta_bound(epsilon, k)`` is ep/bq for bq =
+        eq(16k^3 + 48k^2 + 32k) + ep k, so the default delta, half of it, is
+        one Fraction built from two ints."""
         eps = Fraction(self.epsilon)
-        if not 0 < 2 * eps.numerator < eps.denominator:
+        ep, eq = eps.numerator, eps.denominator
+        if not 0 < 2 * ep < eq:
             raise ValueError(f"epsilon must lie in (0, 1/2), got {eps}")
         warnings: list[str] = []
-        bound = delta_bound(eps, k)
         if self.delta is None:
-            delta = bound / 2
+            delta = Fraction(ep, 2 * (eq * (16 * k**3 + 48 * k**2 + 32 * k) + ep * k))
         else:
             delta = Fraction(self.delta)
             dp, dq = delta.numerator, delta.denominator
             if dp <= 0:
                 raise ValueError(f"delta must be positive, got {delta}")
+            bound = delta_bound(eps, k)
             if dp * bound.denominator >= bound.numerator * dq:
                 warnings.append(
                     f"delta {delta} is not below the convergence bound {bound}"

@@ -149,7 +149,7 @@ def is_graphic(seq: DegreeSequence) -> bool:
     return _graphic_desc(seq.terms)
 
 
-@lru_cache(maxsize=1 << 18)
+@lru_cache(maxsize=1 << 16)
 def _graphic_desc(terms: tuple[int, ...]) -> bool:
     """The Erdős–Gallai test on a nonincreasing tuple, cached: the one
     graphicality routine behind ``is_graphic``, the enumerator's leaf test

@@ -14,7 +14,6 @@ AUDITED = {
     "potnum.oracle._distinct_copies",
     "potnum.oracle._sorted_degrees",
     "potnum.potential.profile",
-    "potnum.probe.delta_bound",
 }
 
 

@@ -371,8 +371,8 @@ def test_enumerate_matches_reference_with_and_without_clique_skip():
     # with a host, the enumerator leaves out exactly the sequences the
     # decision finds potentially host-graphic, whether by the Yin–Li
     # prefix skip or by the leaf's split test; with r + s = 6 (C6's host is
-    # (3, 3)) at n = 6 only the split test, in the loop that forces the
-    # last term, settles a leaf that meets the Yin–Li condition
+    # (3, 3)) at n = 6 only the split test, in the frame that builds the
+    # leaf, settles a leaf that meets the Yin–Li condition
     # ``min_term`` keeps exactly the sequences whose last term is at least
     # it, with or without a host
     hosts = [(r, m - r, complete_split(r, m - r)) for m in range(7) for r in range(m + 1)]
@@ -391,6 +391,47 @@ def test_enumerate_matches_reference_with_and_without_clique_skip():
             for least in range(n + 1):
                 high = [s for s in want if min(s, default=least) >= least]
                 assert list(enumerate_graphic_sequences(n, total, min_term=least)) == high, (n, total, least)
+
+
+def test_enumerate_unique_completions_match_reference(monkeypatch):
+    # a frame whose value leaves one completion builds that leaf itself in
+    # place of a chain of one-value frames; the enumerator still keeps
+    # exactly the reference's sequences, with and without ``min_term``, for
+    # hosts of order k = n - 1 (a skipped frame would have placed term k
+    # under the clique prune), k = n (no frame places term k), k = n + 1
+    # (no sequence holds the host, and the leaf has no term k), and k = 0
+    # and n - 3 (frames past the host build leaves that are not their
+    # greedy completion, so their split test may not be skipped), and the
+    # runs build leaves of every unique shape with two terms or more still
+    # to place: under <= 1, over <= 1 and two adjacent values, each with
+    # and without a positive smallest-term bound
+    shapes = set()
+    graphic = oracle._graphic_desc
+
+    def seen(t):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_extend_prefix":
+            f = caller.f_locals
+            if t is f["leaf"] and f["tail"] > 1:
+                shape = "under" if f["under"] < 2 else "over" if f["over"] < 2 else "adjacent"
+                shapes.add((shape, f["least"] > 0))
+        return graphic(t)
+
+    monkeypatch.setattr(oracle, "_graphic_desc", seen)
+    for n in range(10):
+        want = sorted(
+            (t for t in combinations_with_replacement(range(n - 1, -1, -1), n) if _graphic_desc(t)),
+            key=lambda t: (sum(t), t),
+            reverse=True,
+        )
+        hosts = [(r, k - r) for k in sorted({0, n - 3, n - 1, n, n + 1}) if k >= 0 for r in range(k + 1)]
+        kept = {host: [t for t in want if not _decide(t, complete_split(*host))] for host in hosts}
+        for host in [None, *hosts]:
+            ref = kept.get(host, want)
+            for least in (None, *range(1, n + 1)):
+                got = [s.terms for s in enumerate_graphic_sequences(n, host=host, min_term=least)]
+                assert got == [t for t in ref if least is None or min(t) >= least], (n, host, least)
+    assert shapes == {(shape, bound) for shape in ("under", "over", "adjacent") for bound in (False, True)}
 
 
 def test_enumerate_fixed_sum_order_is_lex_decreasing():
@@ -641,17 +682,18 @@ def test_sigma_scan_leaf_count(monkeypatch):
     # n change no answer, since the leaf tests drop what they skip, so
     # only the work shows them: a lost prune raises the number of split
     # tests. Each count is (leaf tests, greedy-completion tests): a frame
-    # tests the greedy completion of each value before it descends, and a
-    # leaf's own test is made in the loop that forces the last term (the
-    # caller's ``tail`` is 1 there, or unbound in the enumerator, which
-    # tests the one candidate of length 0 or 1). The counts include the
-    # scans at the lengths k..9
-    # whose sigma gives the smallest-term bound at the next length
+    # tests the greedy completion of each value before it places it, and
+    # a leaf's own test is made by the frame that builds the leaf (the
+    # caller's ``leaf``, in a frame or in the enumerator, which tests the
+    # one candidate of length 0 or 1), unless that leaf is the greedy
+    # completion the frame has tested already. The counts include the
+    # scans at the lengths k..9 whose sigma gives the smallest-term bound
+    # at the next length
     counts = {}
     split = oracle._split_holds
 
     def counted(t, r, s):
-        counts[name][sys._getframe(1).f_locals.get("tail", 1) > 1] += 1
+        counts[name][t is not sys._getframe(1).f_locals.get("leaf")] += 1
         return split(t, r, s)
 
     monkeypatch.setattr(oracle, "_split_holds", counted)
@@ -659,9 +701,30 @@ def test_sigma_scan_leaf_count(monkeypatch):
         counts[name] = [0, 0]
         sigma_exact(h, 10)
     assert {name: tuple(c) for name, c in counts.items()} == {
-        "K3": (4, 15), "K4": (5, 30), "C5": (26, 152), "C6": (95, 209),
-        "P4": (10, 32), "K23": (48, 429), "split23": (70, 209), "friendship2": (26, 152),
+        "K3": (19, 0), "K4": (27, 8), "C5": (154, 9), "C6": (265, 9),
+        "P4": (38, 0), "K23": (350, 94), "split23": (234, 34), "friendship2": (154, 9),
     }
+
+
+def test_sigma_scan_frame_count(monkeypatch):
+    # a frame whose value leaves the later terms one completion builds
+    # that leaf itself, so the corpus pass at n = 10 opens 1,628 frames of
+    # ``_extend_prefix`` where a chain of one-value frames down to each
+    # such leaf made 5,799; it decides the same 586 sequences
+    calls = {"_extend_prefix": 0, "_decide": 0}
+
+    def counting(fn):
+        def counted(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        return counted
+
+    for fn_name in calls:
+        monkeypatch.setattr(oracle, fn_name, counting(getattr(oracle, fn_name)))
+    for h in corpus().values():
+        sigma_exact(h, 10)
+    assert calls == {"_extend_prefix": 1628, "_decide": 586}
 
 
 def test_sigma_n13_values():
