@@ -15,12 +15,13 @@ with one value each: those frames only prune, and the leaf's own tests,
 including the clique clause a skipped frame would have applied, drop
 whatever they would. Each leaf of the scan is first tested for the split
 host ``complete_split(k - alpha, alpha)``, which contains H, by one
-residual-graphicity test. The test is sound by construction: it places
-the host's edges itself and asks only that the rest be graphic, so a
-leaf that passes is graphic and has a realization containing H. Only a
-leaf that fails it gets the Erdős–Gallai test, and only a graphic leaf
-that fails it is decided, so that few sequences that cannot refute are
-decided.
+residual-graphicity test, sound by construction: it places the host's
+edges itself and asks only that the rest be graphic, so a leaf that
+passes is graphic and has a realization containing H. Only a leaf that
+fails it gets the Erdős–Gallai test. A graphic leaf then meets the
+placement test, which places H itself and is sound in the same way,
+unless H is its split host, where the split test is exact. Only a leaf
+that fails both is decided, so few sequences that cannot refute are.
 
 A frame that places a term at position k or later ends its loop at the
 first value whose greedy completion holds the host. Every sequence the
@@ -34,10 +35,10 @@ length m that can refute, so the enumerator is asked only for those, and
 a level that holds none is not scanned. ``sigma_exact`` proves the bound
 by a lay-off.
 
-Yin–Li, the split test and the smallest-term bound only prune that
-scan. None is a decision rule: they name no copy of H, and a true answer
-must carry one. One recursion decides a sequence. It tries these rules
-in order:
+Yin–Li, the split and placement tests and the smallest-term bound only
+prune that scan. None is a decision rule: a true answer carries a
+realization, and none of them builds one. One recursion decides a
+sequence. It tries these rules in order:
 
 * the degree pre-check: the sorted degrees of H must fit under the head
   of the sequence;
@@ -81,6 +82,7 @@ from .graphs import (
     CapExceededError,
     SmallGraph,
     _from_masks,
+    _max_independent_sets,
     deleted_family,
     find_embedding,
     independence_number,
@@ -719,6 +721,49 @@ def _split_holds(terms: tuple[int, ...], r: int, s: int) -> bool:
     return _graphic_desc(tuple(sorted([t - r for t in terms[r:m]] + rest, reverse=True)))
 
 
+def _placement_plan(h: SmallGraph) -> tuple[tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+    """The distinct placements of h, one per maximum independent set I:
+    (c = |V - I|, the positions' H-degrees, for each p < c the positions
+    p+1..k-1 not H-adjacent to p), V - I then I, each by falling H-degree."""
+    k, deg, adj = h.k, h.degrees(), h.adj
+    plan = {}
+    for ind in _max_independent_sets(h):
+        order = sorted(range(k), key=lambda v: (ind >> v & 1, -deg[v]))
+        c = k - ind.bit_count()
+        far = tuple(tuple(q for q in range(p + 1, k) if not adj[order[p]] >> order[q] & 1) for p in range(c))
+        plan[c, tuple(deg[v] for v in order), far] = None
+    return tuple(plan)
+
+
+def _placement_holds(terms: tuple[int, ...], plan: tuple) -> bool:
+    """Does ``terms`` (nonincreasing, length >= k) have a realization with
+    h on a placement of ``plan``? True only if one is found. Each position
+    p < k owes its term less its H-degree; each p < c in turn lays off what
+    it owes onto the largest demands at positions after p not H-adjacent
+    to it, ties to the earlier position; what is left on positions c..,
+    where no pair is an H edge, must be graphic. Sound by construction:
+    H's edges, the lay-off edges and any realization of the residual make
+    a simple realization of ``terms`` that contains h."""
+    for c, hdeg, far in plan:
+        k = len(hdeg)
+        dem = [t - d for t, d in zip(terms, hdeg)]
+        if min(dem) < 0:
+            continue
+        dem += terms[k:]
+        for p in range(c):
+            if dem[p]:
+                cands = [q for q in (*far[p], *range(k, len(dem))) if dem[q]]
+                cands.sort(key=dem.__getitem__, reverse=True)
+                if len(cands) < dem[p]:
+                    break
+                for q in cands[:dem[p]]:
+                    dem[q] -= 1
+        else:
+            if _graphic_desc(tuple(sorted(dem[c:], reverse=True))):
+                return True
+    return False
+
+
 def sigma_exact(
     h: SmallGraph,
     n: int,
@@ -729,21 +774,24 @@ def sigma_exact(
     h-graphic; also returns every maximizing non-potential sequence.
 
     Computes sigma at every length m from k to n in turn, each from the
-    one before, and returns them all as ``chain``. At each length it scans sums downward and stops at the
-    first level carrying a refutation; sigma is 2 more than that sum.
-    Below n it stops at the first refutation, since only sigma is needed
-    there, and the enumerator builds no first-term subtree past the one
-    that holds it; at n it collects every refutation of that level. At
-    each level it decides the graphic sequences that the enumerator keeps
-    for the split host ``complete_split(k - alpha, alpha)``: it leaves out
-    every sequence that is potentially host-graphic (by the Yin–Li clique
-    condition for order k on a prefix of length k, by ``_split_holds`` on
-    each leaf before its Erdős–Gallai test, and by the same test on a
-    greedy completion, which ends a loop over a term at position k or
-    later by the 2-switch lemma in ``_extend_prefix``). h lies in that
-    host with a maximum independent set on the independent side, so every
-    realization containing the host contains h. Like Yin–Li, the skip names no copy
-    of h, so it is not a rule of the decision.
+    one before, and returns them all as ``chain``. At each length it scans
+    sums downward and stops at the first level carrying a refutation;
+    sigma is 2 more than that sum. Below n it stops at the first
+    refutation, since only sigma is needed there, and the enumerator
+    builds no first-term subtree past the one that holds it; at n it
+    collects every refutation of that level. Each level's leaves are those
+    the enumerator keeps for the split host ``complete_split(k - alpha,
+    alpha)``: it leaves out every sequence that is potentially host-graphic
+    (by the Yin–Li clique prune, the greedy-completion break and
+    ``_split_holds`` on each leaf). h lies in that host with a maximum
+    independent set on the independent side, so every realization
+    containing the host contains h. A kept leaf then meets
+    ``_placement_holds``, on h's plan built once per call, before
+    ``_decide``: a leaf it accepts has a realization containing h, so it
+    cannot refute. When h has every edge of its host, as K3, K4 and
+    split23 do, the split test is exact and placement could accept no leaf
+    it keeps, so the plan is empty and no placement call is made. Neither
+    test builds a realization, so neither is a rule of the decision.
 
     The smallest-term skip. Let d be graphic of length m, with sum S and
     smallest term t = d_m, and let sigma' = sigma(h, m-1). Laying t off
@@ -770,6 +818,8 @@ def sigma_exact(
     alpha = independence_number(h)
     host = (h.k - alpha, alpha)
     k = h.k
+    # complete_split(k - alpha, alpha) has (k - alpha)(k + alpha - 1)/2 edges
+    plan = () if h.edge_count() == (k - alpha) * (k + alpha - 1) // 2 else _placement_plan(h)
     value, falses = (k - 1) * (k - 2) + 2, ()  # sigma(h, k - 1)
     chain = []
     for m in range(k, n + 1):
@@ -780,7 +830,7 @@ def sigma_exact(
                 continue  # every sequence of this sum lays off onto a potential one
             refuted = (
                 s for s in enumerate_graphic_sequences(m, total, host=host, min_term=least)
-                if not _decide(s.terms, h)
+                if not (plan and _placement_holds(s.terms, plan)) and not _decide(s.terms, h)
             )
             falses = tuple(refuted) if m == n else tuple(islice(refuted, 1))
             if falses:

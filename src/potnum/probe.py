@@ -293,8 +293,10 @@ def run_probe(
             verdict = ProbeVerdict(
                 kind=kind, subgraph=graph, embedding=emb, reason=reason, verified=ok
             )
+    # a Fraction is immutable, so the trace may share the config's own
+    eps = cfg.epsilon if isinstance(cfg.epsilon, Fraction) else Fraction(cfg.epsilon)
     return verdict, ProbeTrace(
-        n, sigma, Fraction(cfg.epsilon), delta, f, tuple(warnings), precondition_ok, verdict=verdict, **reached
+        n, sigma, eps, delta, f, tuple(warnings), precondition_ok, verdict=verdict, **reached
     )
 
 

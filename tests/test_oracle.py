@@ -40,6 +40,8 @@ from potnum.oracle import (
     potentially,
     sigma_exact,
     _decide,
+    _placement_holds,
+    _placement_plan,
     _split_holds,
 )
 from potnum.sequences import DegreeSequence, _graphic_desc, is_graphic, layoff, parse_sequence
@@ -343,6 +345,22 @@ def test_split_holds_matches_the_decision_both_ways():
         for s in enumerate_graphic_sequences(n):
             for r, t, host in hosts:
                 assert _split_holds(s.terms, r, t) == bool(_decide(s.terms, host)), (s, r, t)
+
+
+def test_placement_holds_only_where_the_decision_does():
+    # sigma_exact skips every leaf _placement_holds accepts, so it must
+    # never accept a sequence the decision refutes; the pinned counts show
+    # how much it accepts, which is not everything
+    pairs = accepted = 0
+    for h in corpus_patterns():
+        plan = _placement_plan(h)
+        for n in range(h.k, 9):
+            for s in enumerate_graphic_sequences(n):
+                pairs += 1
+                if _placement_holds(s.terms, plan):
+                    accepted += 1
+                    assert _decide(s.terms, h), (s, h)
+    assert (pairs, accepted) == (28804, 25351)
 
 
 # --- enumeration -------------------------------------------------------------------
@@ -710,21 +728,39 @@ def test_sigma_scan_frame_count(monkeypatch):
     # a frame whose value leaves the later terms one completion builds
     # that leaf itself, so the corpus pass at n = 10 opens 1,628 frames of
     # ``_extend_prefix`` where a chain of one-value frames down to each
-    # such leaf made 5,799; it decides the same 586 sequences
-    calls = {"_extend_prefix": 0, "_decide": 0}
+    # such leaf made 5,799. The placement test meets the 381 leaves of the
+    # graphs that are not their split host and accepts 329 of them, so
+    # the pass makes 178 calls of ``_decide``, recursive ones included,
+    # where it made 586 without the test
+    calls = {"_extend_prefix": 0, "_decide": 0, "_placement_holds": 0, "accepted": 0}
 
     def counting(fn):
         def counted(*args):
             calls[fn.__name__] += 1
-            return fn(*args)
+            found = fn(*args)
+            if fn.__name__ == "_placement_holds" and found:
+                calls["accepted"] += 1
+            return found
 
         return counted
 
-    for fn_name in calls:
+    for fn_name in ("_extend_prefix", "_decide", "_placement_holds"):
         monkeypatch.setattr(oracle, fn_name, counting(getattr(oracle, fn_name)))
     for h in corpus().values():
         sigma_exact(h, 10)
-    assert calls == {"_extend_prefix": 1628, "_decide": 586}
+    assert calls == {"_extend_prefix": 1628, "_decide": 178, "_placement_holds": 381, "accepted": 329}
+
+
+@pytest.mark.parametrize("name", ["K3", "K4", "split23"])
+def test_sigma_makes_no_placement_call_where_h_is_its_split_host(monkeypatch, name):
+    # the split test is exact there, so the scan keeps no leaf that
+    # placement could accept; the scan does the work it did without it
+    def refuse(*args):
+        raise AssertionError("placement called")
+
+    monkeypatch.setattr(oracle, "_placement_plan", refuse)
+    monkeypatch.setattr(oracle, "_placement_holds", refuse)
+    sigma_exact(corpus()[name], 10)
 
 
 def test_sigma_n13_values():
