@@ -21,7 +21,9 @@ passes is graphic and has a realization containing H. Only a leaf that
 fails it gets the Erdős–Gallai test. A graphic leaf then meets the
 placement test, which places H itself and is sound in the same way,
 unless H is its split host, where the split test is exact. Only a leaf
-that fails both is decided, so few sequences that cannot refute are.
+that fails both is decided, so few sequences that cannot refute are, and
+its decision leaves out the placement rule, which the leaf has failed
+already.
 
 A frame that places a term at position k or later ends its loop at the
 first value whose greedy completion holds the host. Every sequence the
@@ -35,16 +37,20 @@ length m that can refute, so the enumerator is asked only for those, and
 a level that holds none is not scanned. ``sigma_exact`` proves the bound
 by a lay-off.
 
-Yin–Li, the split and placement tests and the smallest-term bound only
-prune that scan. None is a decision rule: a true answer carries a
-realization, and none of them builds one. One recursion decides a
-sequence. It tries these rules in order:
+Yin–Li, the split test and the smallest-term bound only prune that
+scan: a true answer carries a realization, and none of them builds one.
+The placement test does build one, so it is also a rule of the decision.
+One recursion decides a sequence. It tries these rules in order:
 
 * the degree pre-check: the sorted degrees of H must fit under the head
   of the sequence;
 * dominating heads (d1 = n-1) are stripped recursively, trading H for its
   one-vertex-deleted family, which keeps near-extremal sequences cheap;
 * the Havel–Hakimi fast path: H embeds in the canonical realization;
+* placement, ``_placement_holds`` on H's plan: H on the largest terms,
+  the lay-off and a graphic residual. It comes after the fast path, so
+  it changes none of that path's certificates, and it settles most true
+  sequences the fast path misses before the exponential search below;
 * otherwise the full placement search: the automorphism-distinct copies
   of H are placed on every degree-distinct k-subset of positions, and the
   leftover demands are realized by backtracking edge assignment avoiding
@@ -63,7 +69,8 @@ that order and, once every remaining demand is 0 or 1, pairs the
 vertices of demand 1 in index order, as its remaining pivots would.
 
 A true answer comes back as a witness builder, a callable that produces
-the embedding and the realization only when a certificate is wanted. A
+the embedding and the realization only when a certificate is wanted, so
+the σ scan builds none. A
 false answer comes back as a falsy ``Refutation`` that names the rule
 that refuted the sequence and the work that rule cost.
 
@@ -75,7 +82,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby, islice, permutations
 
 from .graphs import (
@@ -410,9 +417,11 @@ def _full_search(terms: tuple[int, ...], h: SmallGraph) -> _Decision:
 # The decision procedure
 
 
-def _decide(terms: tuple[int, ...], h: SmallGraph) -> _Decision:
+def _decide(terms: tuple[int, ...], h: SmallGraph, place: bool = True) -> _Decision:
     """Is ``terms`` potentially h-graphic? A witness builder if so, else
-    the refutation. The rules of the module docstring, in order."""
+    the refutation. The rules of the module docstring, in order; with
+    ``place`` False, here and in the sub-decisions, without the placement
+    rule, as the σ scan decides (see ``sigma_exact``)."""
     n = len(terms)
     k = h.k
     if n < k:
@@ -426,7 +435,7 @@ def _decide(terms: tuple[int, ...], h: SmallGraph) -> _Decision:
         lay = tuple(t - 1 for t in terms[1:])
         refuted = []
         for sub, deleted in _d1_classes(h):
-            found = _decide(lay, sub)
+            found = _decide(lay, sub, place)
             if not found:
                 refuted.append(found)
                 continue
@@ -444,7 +453,7 @@ def _decide(terms: tuple[int, ...], h: SmallGraph) -> _Decision:
     emb = find_embedding(h, real.graph)
     if emb is not None:
         return lambda: (emb, real)
-    return _full_search(terms, h)
+    return (place and _placement_holds(terms, _placement_plan(h))) or _full_search(terms, h)
 
 
 def potentially(
@@ -454,8 +463,13 @@ def potentially(
 ) -> PotentialCertificate:
     """Exact decision: does some realization of ``seq`` contain ``h``?
 
-    One call of the decision recursion. When true, its witness builder
-    gives an embedding plus a witnessing realization. When false,
+    One call of the decision recursion, whose rules are, in order: the
+    degree pre-check, the dominating-head strip, the Havel–Hakimi fast
+    path, placement (H on the largest terms, a lay-off and a graphic
+    residual) and the full placement search. When true, the witness
+    builder of the rule that accepted gives an embedding plus a
+    witnessing realization, so a true answer may come from placement.
+    When false,
     ``exhausted`` holds the refutation: the ``rule`` that refuted the
     sequence (``degree``, ``dominating_head`` or ``full_search``) and the
     ``subsets``, ``patterns`` and ``residual_calls`` it searched, where
@@ -721,35 +735,45 @@ def _split_holds(terms: tuple[int, ...], r: int, s: int) -> bool:
     return _graphic_desc(tuple(sorted([t - r for t in terms[r:m]] + rest, reverse=True)))
 
 
-def _placement_plan(h: SmallGraph) -> tuple[tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+@lru_cache(maxsize=1 << 12)
+def _placement_plan(
+    h: SmallGraph,
+) -> tuple[tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]], ...]:
     """The distinct placements of h, one per maximum independent set I:
     (c = |V - I|, the positions' H-degrees, for each p < c the positions
-    p+1..k-1 not H-adjacent to p), V - I then I, each by falling H-degree."""
+    p+1..k-1 not H-adjacent to p, the H-vertex on each position), V - I
+    then I, each by falling H-degree. Two vertex orders that give the same
+    degrees and non-adjacencies place the same edges, so the first is
+    kept."""
     k, deg, adj = h.k, h.degrees(), h.adj
-    plan = {}
+    plan: dict[tuple, tuple[int, ...]] = {}
     for ind in _max_independent_sets(h):
-        order = sorted(range(k), key=lambda v: (ind >> v & 1, -deg[v]))
+        order = tuple(sorted(range(k), key=lambda v: (ind >> v & 1, -deg[v])))
         c = k - ind.bit_count()
         far = tuple(tuple(q for q in range(p + 1, k) if not adj[order[p]] >> order[q] & 1) for p in range(c))
-        plan[c, tuple(deg[v] for v in order), far] = None
-    return tuple(plan)
+        plan.setdefault((c, tuple(deg[v] for v in order), far), order)
+    return tuple((*key, order) for key, order in plan.items())
 
 
-def _placement_holds(terms: tuple[int, ...], plan: tuple) -> bool:
+def _placement_holds(terms: tuple[int, ...], plan: tuple) -> _Witness | None:
     """Does ``terms`` (nonincreasing, length >= k) have a realization with
-    h on a placement of ``plan``? True only if one is found. Each position
-    p < k owes its term less its H-degree; each p < c in turn lays off what
-    it owes onto the largest demands at positions after p not H-adjacent
-    to it, ties to the earlier position; what is left on positions c..,
-    where no pair is an H edge, must be graphic. Sound by construction:
-    H's edges, the lay-off edges and any realization of the residual make
-    a simple realization of ``terms`` that contains h."""
-    for c, hdeg, far in plan:
+    h on a placement of ``plan``? A witness builder if one is found, else
+    None. Each position p < k owes its term less its H-degree; each p < c
+    in turn lays off what it owes onto the largest demands at positions
+    after p not H-adjacent to it, ties to the earlier position; what is
+    left on positions c.., where no pair is an H edge, must be graphic.
+    Sound by construction: H's edges, the lay-off edges and any
+    realization of the residual make a simple realization of ``terms``
+    that contains h. The builder joins those three edge sets, the residual
+    realized by ``canonical_realization`` and mapped back to its
+    positions; it runs only when a certificate is wanted."""
+    for c, hdeg, far, order in plan:
         k = len(hdeg)
         dem = [t - d for t, d in zip(terms, hdeg)]
         if min(dem) < 0:
             continue
         dem += terms[k:]
+        laid = []  # each owing position's sorted candidates, in turn
         for p in range(c):
             if dem[p]:
                 cands = [q for q in (*far[p], *range(k, len(dem))) if dem[q]]
@@ -758,10 +782,40 @@ def _placement_holds(terms: tuple[int, ...], plan: tuple) -> bool:
                     break
                 for q in cands[:dem[p]]:
                     dem[q] -= 1
+                laid.append(cands)
         else:
             if _graphic_desc(tuple(sorted(dem[c:], reverse=True))):
-                return True
-    return False
+                return partial(_placement_witness, terms, c, far, order, dem, laid)
+    return None
+
+
+def _placement_witness(
+    terms: tuple[int, ...],
+    c: int,
+    far: tuple[tuple[int, ...], ...],
+    order: tuple[int, ...],
+    dem: list[int],
+    laid: list[list[int]],
+) -> tuple[dict[int, int], Realization]:
+    """The embedding and realization of a placement ``_placement_holds``
+    found, from its demands ``dem`` after the lay-off and the candidates
+    ``laid`` of each owing position: H's edges on positions 0..k-1, the
+    lay-off edges and the canonical realization of the residual on
+    positions c.., sorted by falling demand, ties by position, and mapped
+    back. A position p < c is no candidate after its own turn, so
+    ``dem[p]`` is still what it owed then, and it took that many of its
+    candidates. Kept out of ``_placement_holds``, whose loop a closure
+    would slow."""
+    k = len(order)
+    edges = [(p, q) for p in range(c) for q in range(p + 1, k) if q not in far[p]]
+    owing = [p for p in range(c) if dem[p]]
+    edges += [(p, q) for p, cands in zip(owing, laid) for q in cands[:dem[p]]]
+    rest = dem[c:]
+    index = sorted(range(len(rest)), key=rest.__getitem__, reverse=True)
+    residual = canonical_realization(_canonical(tuple(rest[i] for i in index)))
+    edges += [(c + index[u], c + index[v]) for u, v in residual.graph.edges()]
+    real = Realization(graph=SmallGraph(len(terms), edges), sequence=_canonical(terms))
+    return dict(sorted(zip(order, range(k)))), real
 
 
 def sigma_exact(
@@ -786,12 +840,15 @@ def sigma_exact(
     ``_split_holds`` on each leaf). h lies in that host with a maximum
     independent set on the independent side, so every realization
     containing the host contains h. A kept leaf then meets
-    ``_placement_holds``, on h's plan built once per call, before
-    ``_decide``: a leaf it accepts has a realization containing h, so it
-    cannot refute. When h has every edge of its host, as K3, K4 and
-    split23 do, the split test is exact and placement could accept no leaf
-    it keeps, so the plan is empty and no placement call is made. Neither
-    test builds a realization, so neither is a rule of the decision.
+    ``_placement_holds``, on h's plan, before ``_decide``: a leaf it
+    accepts has a realization containing h, so it cannot refute, and only
+    the truth of its answer is read, so no witness is built. When h has
+    every edge of its host, as K3, K4 and split23 do, the split test is
+    exact and placement could accept no leaf it keeps, so the plan is
+    empty and no placement call is made. A leaf that placement fails is
+    decided without the placement rule (``_decide`` with ``place``
+    False), here and in its sub-decisions: the leaf has failed it
+    already, and the scan meets few true sub-decisions.
 
     The smallest-term skip. Let d be graphic of length m, with sum S and
     smallest term t = d_m, and let sigma' = sigma(h, m-1). Laying t off
@@ -830,7 +887,7 @@ def sigma_exact(
                 continue  # every sequence of this sum lays off onto a potential one
             refuted = (
                 s for s in enumerate_graphic_sequences(m, total, host=host, min_term=least)
-                if not (plan and _placement_holds(s.terms, plan)) and not _decide(s.terms, h)
+                if not (plan and _placement_holds(s.terms, plan)) and not _decide(s.terms, h, False)
             )
             falses = tuple(refuted) if m == n else tuple(islice(refuted, 1))
             if falses:

@@ -12,6 +12,10 @@ AUDITED = {
     "potnum.graphs._embedding_plan",
     "potnum.oracle._d1_classes",
     "potnum.oracle._distinct_copies",
+    # the decision's placement rule asks for H's plan on every pair past
+    # the fast path: 1,453 asks for 11 graphs over the check_near pool; a
+    # build takes 13-65 us on the corpus patterns, a hit under 1 us
+    "potnum.oracle._placement_plan",
     "potnum.oracle._sorted_degrees",
     "potnum.potential.profile",
 }

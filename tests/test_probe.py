@@ -317,7 +317,9 @@ def test_split_sufficiency_is_a_count_of_large_terms():
 # One run per path of run_probe that the benchmark's probe pool reaches,
 # plus the floor branch on the empty sequence, each with the oracle and
 # without it. The expected verdicts and JSON-lines traces were written by
-# the code before run_probe was restructured, so they pin its output.
+# the code before run_probe was restructured, so they pin its output. The
+# oracle's embedding in the clique_plus_subgraph case was re-pinned when
+# placement became a decision rule: everything else in every case held.
 PINNED_PATHS = json.loads((Path(__file__).parent / "probe_paths.json").read_text())
 
 
@@ -335,7 +337,10 @@ def test_verdict_paths_are_pinned(case, oracle):
 # sigma(H, 8), for each corpus graph, with f = 3 and 5 and the oracle on and
 # off: 8,188 runs. The digest was written by the code before the probe's
 # comparisons became integer cross-multiplications, so it pins every
-# verdict and trace line they print.
+# verdict and trace line they print. It was re-pinned when placement became
+# a decision rule, which changes some oracle embeddings, after a digest of
+# the same runs with every verdict's embedding removed (98017980...) came
+# out the same as before.
 def test_probe_outputs_near_sigma_at_n8_are_pinned():
     digest = hashlib.sha256()
     runs = 0
@@ -351,4 +356,4 @@ def test_probe_outputs_near_sigma_at_n8_are_pinned():
                             digest.update(line.encode() + b"\n")
                         runs += 1
     assert runs == 8188
-    assert digest.hexdigest() == "b7b73e77aee32e33bd8e343df9b1c7ea142d8be5a750e802653b10ef934fa5c2"
+    assert digest.hexdigest() == "9e1d961d0962d9b94183b0bebbbc75c3ba522f129e1331eb109ba515716c3b41"
